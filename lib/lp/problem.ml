@@ -17,12 +17,6 @@ type t = {
   row_names : string array;
 }
 
-let col_iter p j f =
-  let idx, v = p.cols.(j) in
-  for k = 0 to Array.length idx - 1 do
-    f idx.(k) v.(k)
-  done
-
 let row_iter p r f =
   let idx, v = p.rows.(r) in
   for k = 0 to Array.length idx - 1 do

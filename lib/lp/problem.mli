@@ -31,10 +31,6 @@ type t = {
 val num_integer : t -> int
 (** Number of columns with kind [Integer] or [Binary]. *)
 
-val col_iter : t -> int -> (int -> float -> unit) -> unit
-(** [col_iter p j f] calls [f row coeff] for each structural nonzero of
-    column [j], in ascending row order. *)
-
 val row_iter : t -> int -> (int -> float -> unit) -> unit
 (** [row_iter p r f] calls [f col coeff] for each structural nonzero of
     row [r], in ascending column order. *)

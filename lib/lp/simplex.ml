@@ -133,6 +133,10 @@ type t = {
   n : int;
   m : int;
   nt : int;
+  (* column [j] of [A | -I] is [cidx.(j)]/[cval.(j)]: structural columns
+     share the problem's arrays, slack column [n + r] is [-e_r] *)
+  cidx : int array array;
+  cval : float array array;
   pricing : pricing;
   lu_kernel : Lu.kernel;
   cost : float array;
@@ -181,21 +185,53 @@ type t = {
 
 (* --- column access ---------------------------------------------------- *)
 
-let col_iter t j f =
-  if j < t.n then Problem.col_iter t.p j f else f (j - t.n) (-1.0)
+(* The per-pivot loops below (pricing, Devex updates, ratio test, step
+   application) run once per candidate column or per nonzero, so they
+   allocate nothing: no closures, no boxed float accumulators, no
+   option or tuple per candidate or entry. Their float operations keep
+   a fixed order, which is part of the pivot-trajectory contract. *)
+
+let columns p =
+  let n = p.Problem.ncols in
+  let minus_one = [| -1.0 |] in
+  ( Array.init (n + p.Problem.nrows) (fun j ->
+        if j < n then fst p.Problem.cols.(j) else [| j - n |]),
+    Array.init (n + p.Problem.nrows) (fun j ->
+        if j < n then snd p.Problem.cols.(j) else minus_one) )
 
 (* y . A_j *)
-let dot_col t y j =
+let[@inline] dot_col t y j =
+  let idx = t.cidx.(j) and a = t.cval.(j) in
   let acc = ref 0.0 in
-  col_iter t j (fun r a -> acc := !acc +. (y.(r) *. a));
+  for k = 0 to Array.length idx - 1 do
+    acc := !acc +. (y.(idx.(k)) *. a.(k))
+  done;
   !acc
+
+(* Closure-free walk over a vector's entries: slot [s] in
+   [0, slots v) holds entry [slot v s] — the pattern when it is known,
+   every index when the vector is dense. Exact zeros may be visited;
+   every caller's body is a no-op on them. *)
+let[@inline] slots (v : Svec.t) =
+  if v.nnz < 0 then Array.length v.vals else v.nnz
+
+let[@inline] slot (v : Svec.t) s = if v.nnz < 0 then s else v.idx.(s)
+
+(* [Svec.set] without boxing [x] for the call *)
+let[@inline] push (v : Svec.t) i x =
+  v.vals.(i) <- x;
+  v.idx.(v.nnz) <- i;
+  v.nnz <- v.nnz + 1
 
 (* alpha := B^-1 A_j, hypersparse: the packed column ftrans through the
    sparse kernel and alpha's pattern drives the ratio test, the step
    application, the eta build and the dual weight updates *)
 let ftran t j =
   Svec.clear t.rhs;
-  col_iter t j (fun r a -> Svec.set t.rhs r a);
+  let idx = t.cidx.(j) and a = t.cval.(j) in
+  for k = 0 to Array.length idx - 1 do
+    push t.rhs idx.(k) a.(k)
+  done;
   Lu.ftran_sv t.lu ~src:t.rhs ~dst:t.alpha;
   if Mm_obs.Trace.active t.tr then
     Mm_obs.Trace.hist_add t.ftran_hist
@@ -203,7 +239,7 @@ let ftran t j =
 
 (* --- creation and (re)factorization ----------------------------------- *)
 
-let nonbasic_value t v =
+let[@inline] nonbasic_value t v =
   match t.loc.(v) with
   | -1 -> t.lb.(v)
   | -2 -> t.ub.(v)
@@ -219,7 +255,12 @@ let compute_basics t =
     if t.loc.(v) < 0 then begin
       let x = nonbasic_value t v in
       t.xval.(v) <- x;
-      if x <> 0.0 then col_iter t v (fun r a -> b.(r) <- b.(r) -. (a *. x))
+      if x <> 0.0 then
+        let idx = t.cidx.(v) and a = t.cval.(v) in
+        for k = 0 to Array.length idx - 1 do
+          let r = idx.(k) in
+          b.(r) <- b.(r) -. (a.(k) *. x)
+        done
     end
   done;
   Lu.ftran t.lu ~src:b ~dst:t.beta;
@@ -240,7 +281,11 @@ let reset_to_slack_basis t =
   done
 
 let factor_current t =
-  Lu.factor ~kernel:t.lu_kernel ~m:t.m (fun k f -> col_iter t t.basis.(k) f)
+  Lu.factor ~kernel:t.lu_kernel ~m:t.m (fun k f ->
+      let idx = t.cidx.(t.basis.(k)) and a = t.cval.(t.basis.(k)) in
+      for p = 0 to Array.length idx - 1 do
+        f idx.(p) a.(p)
+      done)
 
 (* the Lu instance is replaced on every refactorization, so fold its
    solve counters into the accumulators before retiring it *)
@@ -279,12 +324,15 @@ let create ?(pricing = Devex) ?(lu_kernel = Lu.Auto) p =
   let wsize =
     max 8 (min nt (8 + (4 * int_of_float (Float.sqrt (float_of_int nt)))))
   in
+  let cidx, cval = columns p in
   let t =
     {
       p;
       n;
       m;
       nt;
+      cidx;
+      cval;
       pricing;
       lu_kernel;
       cost;
@@ -375,57 +423,57 @@ let compute_duals t costs =
   Svec.clear t.cbw;
   for k = 0 to t.m - 1 do
     let c = costs.(t.basis.(k)) in
-    if c <> 0.0 then Svec.set t.cbw k c
+    if c <> 0.0 then push t.cbw k c
   done;
   Lu.btran_sv t.lu ~src:t.cbw ~dst:t.y;
   if Mm_obs.Trace.active t.tr then
     Mm_obs.Trace.hist_add t.btran_hist
       (Int64.of_int (1000 * Svec.nnz t.y / max 1 t.m))
 
-(* Direction and reduced cost of a nonbasic variable when it prices out,
-   assuming t.y holds the duals for [costs]. sigma = +1 when the
-   variable enters increasing from its lower bound, -1 when it enters
-   decreasing from its upper bound. *)
-let eligibility t costs v =
+(* Reduced cost of a nonbasic variable when it prices out, [nan] when
+   it does not (basic, or fixed at a bound), assuming t.y holds the
+   duals for [costs]. A fixed column is rejected before its dot
+   product. An eligible [d] fixes the entering direction: see
+   [direction]. *)
+let[@inline] eligibility t costs v =
   let l = t.loc.(v) in
-  if l >= 0 then None
+  if l >= 0 || (l > -3 && not (t.ub.(v) > t.lb.(v))) then Float.nan
   else
     let d = costs.(v) -. dot_col t t.y.Svec.vals v in
     match l with
-    | -1 ->
-        if d < -.opt_tol && t.ub.(v) > t.lb.(v) then Some (1.0, d) else None
-    | -2 -> if d > opt_tol && t.ub.(v) > t.lb.(v) then Some (-1.0, d) else None
-    | _ ->
-        if d < -.opt_tol then Some (1.0, d)
-        else if d > opt_tol then Some (-1.0, d)
-        else None
+    | -1 -> if d < -.opt_tol then d else Float.nan
+    | -2 -> if d > opt_tol then d else Float.nan
+    | _ -> if d < -.opt_tol || d > opt_tol then d else Float.nan
+
+(* sigma = +1 when an eligible variable enters increasing from its lower
+   bound (d < 0), -1 when it enters decreasing from its upper bound *)
+let[@inline] direction d = if d < 0.0 then 1.0 else -1.0
 
 (* Full-scan pricing: Dantzig's most-negative reduced cost, or Bland's
    first-eligible rule when [bland] (anti-cycling fallback for long
    degenerate streaks under either strategy). *)
 let price_full t costs ~bland =
-  let best = ref (-1) and best_score = ref 0.0 and best_sigma = ref 1.0 in
-  (try
-     for v = 0 to t.nt - 1 do
-       match eligibility t costs v with
-       | None -> ()
-       | Some (sigma, d) ->
-           if bland then begin
-             best := v;
-             best_sigma := sigma;
-             raise Exit
-           end
-           else begin
-             let score = Float.abs d in
-             if score > !best_score then begin
-               best := v;
-               best_score := score;
-               best_sigma := sigma
-             end
-           end
-     done
-   with Exit -> ());
-  if !best < 0 then None else Some (!best, !best_sigma)
+  let best = ref (-1) and best_score = ref 0.0 and best_d = ref 0.0 in
+  let v = ref 0 in
+  while !v < t.nt do
+    let d = eligibility t costs !v in
+    if not (Float.is_nan d) then
+      if bland then begin
+        best := !v;
+        best_d := d;
+        v := t.nt
+      end
+      else begin
+        let score = Float.abs d in
+        if score > !best_score then begin
+          best := !v;
+          best_score := score;
+          best_d := d
+        end
+      end;
+    incr v
+  done;
+  if !best < 0 then None else Some (!best, direction !best_d)
 
 (* Devex pricing over the candidate window: re-price only the window,
    keep the members that still price out, and pick the best d^2/w
@@ -433,50 +481,48 @@ let price_full t costs ~bland =
    scan — the only place optimality may be declared, so partial pricing
    can never terminate early on a stale window. *)
 let price_devex t costs =
-  let best = ref (-1) and best_score = ref 0.0 and best_sigma = ref 1.0 in
-  let consider v sigma d =
-    let sc = d *. d /. t.dw.(v) in
-    if sc > !best_score then begin
-      best := v;
-      best_score := sc;
-      best_sigma := sigma
-    end
-  in
+  let best = ref (-1) and best_score = ref 0.0 and best_d = ref 0.0 in
   let keep = ref 0 in
   for s = 0 to t.ncand - 1 do
     let v = t.cand.(s) in
-    match eligibility t costs v with
-    | Some (sigma, d) ->
-        t.cand.(!keep) <- v;
-        incr keep;
-        consider v sigma d
-    | None -> ()
+    let d = eligibility t costs v in
+    if not (Float.is_nan d) then begin
+      t.cand.(!keep) <- v;
+      incr keep;
+      let sc = d *. d /. t.dw.(v) in
+      if sc > !best_score then begin
+        best := v;
+        best_score := sc;
+        best_d := d
+      end
+    end
   done;
   t.ncand <- !keep;
-  if !best >= 0 then Some (!best, !best_sigma)
-  else begin
+  if !best < 0 then begin
     t.ncand <- 0;
     let start = t.scan_from in
     let scanned = ref 0 in
-    (try
-       while !scanned < t.nt do
-         let v = start + !scanned in
-         let v = if v >= t.nt then v - t.nt else v in
-         incr scanned;
-         match eligibility t costs v with
-         | Some (sigma, d) ->
-             t.cand.(t.ncand) <- v;
-             t.ncand <- t.ncand + 1;
-             consider v sigma d;
-             if t.ncand >= t.wsize then raise Exit
-         | None -> ()
-       done
-     with Exit -> ());
+    while !scanned < t.nt && t.ncand < t.wsize do
+      let v = start + !scanned in
+      let v = if v >= t.nt then v - t.nt else v in
+      incr scanned;
+      let d = eligibility t costs v in
+      if not (Float.is_nan d) then begin
+        t.cand.(t.ncand) <- v;
+        t.ncand <- t.ncand + 1;
+        let sc = d *. d /. t.dw.(v) in
+        if sc > !best_score then begin
+          best := v;
+          best_score := sc;
+          best_d := d
+        end
+      end
+    done;
     t.scan_from <-
       (let c = start + !scanned in
-       if c >= t.nt then c - t.nt else c);
-    if !best < 0 then None else Some (!best, !best_sigma)
-  end
+       if c >= t.nt then c - t.nt else c)
+  end;
+  if !best < 0 then None else Some (!best, direction !best_d)
 
 let price t costs ~bland =
   if bland || t.pricing = Dantzig then price_full t costs ~bland
@@ -489,7 +535,7 @@ let price t costs ~bland =
    reference weight refreshed exactly. A selected weight past the cap
    means the framework has drifted: reset to all ones. *)
 let devex_update t q ip =
-  let piv = Svec.get t.alpha ip in
+  let piv = t.alpha.Svec.vals.(ip) in
   let wq = Float.max t.dw.(q) 1.0 in
   if wq > devex_weight_cap then begin
     Array.fill t.dw 0 t.nt 1.0;
@@ -523,6 +569,29 @@ type ratio_outcome =
   | Block of int * float * int (* position, step, new loc for leaver *)
   | NoBlock
 
+(* [Float.max x 0.0], bit for bit, without boxing [x] for the call *)
+let[@inline] clamp0 x =
+  if x > 0.0 then x else if Float.is_nan x then x else 0.0
+
+(* The bound basis row [i] blocks at when it moves at rate [d]; nan when
+   the row does not block in this direction. *)
+let[@inline] blocking_bound t i d ~phase1 =
+  let bv = t.basis.(i) in
+  let v = t.xval.(bv) and l = t.lb.(bv) and u = t.ub.(bv) in
+  if phase1 && v > u +. feas_tol then if d < 0.0 then u else Float.nan
+  else if phase1 && v < l -. feas_tol then if d > 0.0 then l else Float.nan
+  else if d > 0.0 then u
+  else l
+
+(* The leaver's nonbasic status once row [i] blocks at rate [d]. *)
+let leave_status t i d ~phase1 =
+  let bv = t.basis.(i) in
+  let v = t.xval.(bv) in
+  if phase1 && v > t.ub.(bv) +. feas_tol then -2
+  else if phase1 && v < t.lb.(bv) -. feas_tol then -1
+  else if d > 0.0 then -2
+  else -1
+
 (* Harris two-pass ratio test. Pass 1 computes the largest step allowed
    when every blocking bound is relaxed by [tols.harris]; pass 2 picks,
    among the blockers whose strict step fits within that relaxed step,
@@ -533,64 +602,62 @@ type ratio_outcome =
    a basis change. [phase1] relaxes blocking for infeasible basics:
    they only block at the bound they currently violate. *)
 let ratio_test t q sigma ~phase1 =
-  (* blocking bound and leaver status for row [i] moving at rate [d];
-     nan when the row does not block in this direction *)
-  let blocking_bound i d =
-    let bv = t.basis.(i) in
-    let v = t.xval.(bv) and l = t.lb.(bv) and u = t.ub.(bv) in
-    if phase1 && v > u +. feas_tol then
-      if d < 0.0 then (u, -2) else (Float.nan, 0)
-    else if phase1 && v < l -. feas_tol then
-      if d > 0.0 then (l, -1) else (Float.nan, 0)
-    else if d > 0.0 then (u, -2)
-    else (l, -1)
-  in
-  (* both Harris passes sweep only alpha's nonzero pattern: rows with
+  (* both Harris passes sweep only alpha's entries: rows with
      alpha.(i) = 0 never block *)
+  let alpha = t.alpha in
   let tmax_rel = ref infinity in
-  Svec.iter t.alpha (fun i a ->
-      let d = -.sigma *. a in
-      if Float.abs d > pivot_tol then begin
-        let bound, _ = blocking_bound i d in
-        if Float.is_finite bound then begin
-          let strict = Float.max ((bound -. t.xval.(t.basis.(i))) /. d) 0.0 in
-          let relaxed = strict +. (tols.harris /. Float.abs d) in
-          if relaxed < !tmax_rel then tmax_rel := relaxed
-        end
-      end);
+  for s = 0 to slots alpha - 1 do
+    let i = slot alpha s in
+    let d = -.sigma *. alpha.vals.(i) in
+    if Float.abs d > pivot_tol then begin
+      let bound = blocking_bound t i d ~phase1 in
+      if Float.is_finite bound then begin
+        let strict = clamp0 ((bound -. t.xval.(t.basis.(i))) /. d) in
+        let relaxed = strict +. (tols.harris /. Float.abs d) in
+        if relaxed < !tmax_rel then tmax_rel := relaxed
+      end
+    end
+  done;
   let bound_gap = t.ub.(q) -. t.lb.(q) in
   if Float.is_finite bound_gap && bound_gap <= !tmax_rel then Flip bound_gap
   else if !tmax_rel = infinity then NoBlock
   else begin
-    let blocker = ref (-1)
-    and leave_loc = ref (-1)
-    and bstep = ref 0.0
-    and bmag = ref 0.0 in
-    Svec.iter t.alpha (fun i a ->
-        let d = -.sigma *. a in
-        if Float.abs d > pivot_tol then begin
-          let bound, loc = blocking_bound i d in
-          if Float.is_finite bound then begin
-            let strict = Float.max ((bound -. t.xval.(t.basis.(i))) /. d) 0.0 in
-            if strict <= !tmax_rel +. tie_tol && Float.abs d > !bmag then begin
-              blocker := i;
-              leave_loc := loc;
-              bstep := strict;
-              bmag := Float.abs d
-            end
+    let blocker = ref (-1) and bstep = ref 0.0 and bmag = ref 0.0 in
+    for s = 0 to slots alpha - 1 do
+      let i = slot alpha s in
+      let d = -.sigma *. alpha.vals.(i) in
+      if Float.abs d > pivot_tol then begin
+        let bound = blocking_bound t i d ~phase1 in
+        if Float.is_finite bound then begin
+          let strict = clamp0 ((bound -. t.xval.(t.basis.(i))) /. d) in
+          if strict <= !tmax_rel +. tie_tol && Float.abs d > !bmag then begin
+            blocker := i;
+            bstep := strict;
+            bmag := Float.abs d
           end
-        end);
+        end
+      end
+    done;
     if !blocker < 0 then NoBlock
-    else Block (!blocker, Float.min !bstep !tmax_rel, !leave_loc)
+    else
+      let ip = !blocker in
+      let d = -.sigma *. alpha.vals.(ip) in
+      Block (ip, Float.min !bstep !tmax_rel, leave_status t ip d ~phase1)
   end
 
 let apply_step t q sigma step =
   (* move entering by sigma*step, basics by -sigma*alpha*step *)
   if step <> 0.0 then begin
     t.xval.(q) <- t.xval.(q) +. (sigma *. step);
-    Svec.iter t.alpha (fun i a ->
-        if Float.abs a > zero_tol then
-          t.xval.(t.basis.(i)) <- t.xval.(t.basis.(i)) -. (sigma *. a *. step))
+    let alpha = t.alpha in
+    for s = 0 to slots alpha - 1 do
+      let i = slot alpha s in
+      let a = alpha.vals.(i) in
+      if Float.abs a > zero_tol then begin
+        let bv = t.basis.(i) in
+        t.xval.(bv) <- t.xval.(bv) -. (sigma *. a *. step)
+      end
+    done
   end
 
 (* Absorb the exchange at position [ip] into the eta file; refactorize on
@@ -668,7 +735,7 @@ let phase1_inner t limit out_of_time =
               do_flip t q sigma gap;
               loop ()
           | Block (ip, step, lloc) ->
-              if Float.abs (Svec.get t.alpha ip) < pivot_tol then begin
+              if Float.abs t.alpha.Svec.vals.(ip) < pivot_tol then begin
                 refactor t;
                 loop ()
               end
@@ -717,7 +784,7 @@ let phase2 t limit out_of_time =
               do_flip t q sigma gap;
               loop ()
           | Block (ip, step, lloc) ->
-              if Float.abs (Svec.get t.alpha ip) < pivot_tol then begin
+              if Float.abs t.alpha.Svec.vals.(ip) < pivot_tol then begin
                 refactor t;
                 loop ()
               end
@@ -734,7 +801,7 @@ let phase2 t limit out_of_time =
 
 (* Reduced cost of one nonbasic variable under the phase-2 objective,
    assuming t.y holds the duals. *)
-let reduced_cost t v = t.cost.(v) -. dot_col t t.y.Svec.vals v
+let[@inline] reduced_cost t v = t.cost.(v) -. dot_col t t.y.Svec.vals v
 
 let is_dual_feasible t =
   compute_duals t t.cost;
@@ -812,8 +879,12 @@ let dual_phase t limit out_of_time =
               (Int64.of_int (1000 * Svec.nnz t.rho / max 1 t.m));
           let wip =
             if t.pricing = Devex then begin
+              let rho = t.rho in
               let exact = ref 0.0 in
-              Svec.iter t.rho (fun _ r -> exact := !exact +. (r *. r));
+              for s = 0 to slots rho - 1 do
+                let r = rho.vals.(slot rho s) in
+                exact := !exact +. (r *. r)
+              done;
               if !exact > devex_drift_factor *. t.drw.(ip) then begin
                 (* the reference framework no longer tracks the true
                    row norms: reset it *)
@@ -860,18 +931,22 @@ let dual_phase t limit out_of_time =
           else begin
             let q = !best in
             ftran t q;
-            if Float.abs (Svec.get t.alpha ip) < pivot_tol then
+            let alpha = t.alpha in
+            if Float.abs alpha.vals.(ip) < pivot_tol then
               raise Numerical_trouble;
             (if t.pricing = Devex then begin
                (* dual Devex row-weight update from the entering
                   column's ftran, over alpha's nonzeros only *)
-               let piv = Svec.get t.alpha ip in
+               let piv = alpha.vals.(ip) in
                let inv2 = 1.0 /. (piv *. piv) in
-               Svec.iter t.alpha (fun i a ->
-                   if i <> ip && Float.abs a > zero_tol then begin
-                     let w = a *. a *. inv2 *. wip in
-                     if w > t.drw.(i) then t.drw.(i) <- w
-                   end);
+               for s = 0 to slots alpha - 1 do
+                 let i = slot alpha s in
+                 let a = alpha.vals.(i) in
+                 if i <> ip && Float.abs a > zero_tol then begin
+                   let w = a *. a *. inv2 *. wip in
+                   if w > t.drw.(i) then t.drw.(i) <- w
+                 end
+               done;
                t.drw.(ip) <- Float.max (wip *. inv2) 1.0
              end);
             let leaver = t.basis.(ip) in

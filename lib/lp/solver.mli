@@ -59,7 +59,7 @@ val options :
 (** Builder for {!options}; prefer this over record literals so future
     fields stay non-breaking. When [?parallelism], [?pricing],
     [?lu_kernel] or [?trace] is omitted it is taken from [bb]
-    (defaults: 1, Devex, Sparse, disabled). *)
+    (defaults: 1, Devex, {!Lu.Auto}, disabled). *)
 
 val quick_options :
   ?time_limit:float ->

@@ -218,15 +218,15 @@ let render events =
         else None)
       events
   in
-  (* histograms named [*_size] hold raw magnitudes (e.g. members per
-     coalesced batch), not durations: the wire format still scales
-     buckets to "seconds", so multiply back by 1e9 and render them
-     unitless in their own table *)
+  (* histograms named [*_size] or [*_permille] hold raw magnitudes
+     (members per coalesced batch, solve result density), not
+     durations: the wire format still scales buckets to "seconds", so
+     multiply back by 1e9 and render them unitless in their own table *)
   let size_hists, hists =
     List.partition
       (fun (name, _) ->
-        String.length name > 5
-        && String.sub name (String.length name - 5) 5 = "_size")
+        String.ends_with ~suffix:"_size" name
+        || String.ends_with ~suffix:"_permille" name)
       hists
   in
   (if hists <> [] then
@@ -263,7 +263,7 @@ let render events =
      section "" (Mm_util.Table.render tbl));
   (if size_hists <> [] then
      let tbl =
-       Mm_util.Table.create ~title:"Size histograms"
+       Mm_util.Table.create ~title:"Magnitude histograms"
          [
            ("op", Mm_util.Table.Left);
            ("samples", Mm_util.Table.Right);

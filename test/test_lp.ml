@@ -930,6 +930,50 @@ let test_trace_deterministic_serial () =
   Alcotest.(check bool) "trace nonempty" true (a <> []);
   Alcotest.(check bool) "event-for-event reproducible" true (a = b)
 
+let test_summary_magnitude_tables () =
+  (* a synthetic trace with one latency and one density histogram: the
+     permille density is a magnitude and must render unitless, outside
+     the latency table *)
+  let tr = Mm_obs.Trace.create () in
+  let sink = Mm_obs.Trace.root tr in
+  let lat = Mm_obs.Trace.hist_create ()
+  and dens = Mm_obs.Trace.hist_create () in
+  List.iter
+    (fun ns -> Mm_obs.Trace.hist_add lat (Int64.of_int ns))
+    [ 1500; 3000 ];
+  List.iter
+    (fun pm -> Mm_obs.Trace.hist_add dens (Int64.of_int pm))
+    [ 250; 250; 250; 1000 ];
+  Mm_obs.Trace.emit_hist sink "pivot" lat;
+  Mm_obs.Trace.emit_hist sink "ftran_density_permille" dens;
+  let out =
+    match Mm_obs.Summary.of_lines (Mm_obs.Trace.dump_lines tr) with
+    | Ok evs -> Mm_obs.Summary.render evs
+    | Error e -> Alcotest.fail e
+  in
+  let contains sub s =
+    let n = String.length s and k = String.length sub in
+    let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+    go 0
+  in
+  let tables = String.split_on_char '\n' out in
+  let rec split_at title acc = function
+    | [] -> (List.rev acc, [])
+    | l :: rest when contains title l -> (List.rev acc, l :: rest)
+    | l :: rest -> split_at title (l :: acc) rest
+  in
+  let latency, magnitude = split_at "Magnitude histograms" [] tables in
+  let row name lines = List.find_opt (contains name) lines in
+  Alcotest.(check bool) "pivot in the latency table" true
+    (row "pivot" latency <> None);
+  Alcotest.(check bool) "density not in the latency table" true
+    (row "ftran_density_permille" latency = None);
+  match row "ftran_density_permille" magnitude with
+  | None -> Alcotest.failf "density row missing from summary:\n%s" out
+  | Some r ->
+      Alcotest.(check bool) "no microseconds" false (contains "us" r);
+      Alcotest.(check bool) "raw permille total" true (contains "1750" r)
+
 let test_trace_disabled_writes_nothing () =
   let p = build_random_bip (5, 3, 99) in
   ignore (Solver.solve p);
@@ -1750,6 +1794,125 @@ let test_lp_format_coefficients () =
   Alcotest.(check bool) "rhs" true (has "7.5");
   Alcotest.(check bool) "objective coefficient" true (has "0.25 x")
 
+(* --- Trajectory pins ------------------------------------------------------ *)
+
+(* Exact serial trajectories: pivots, phase-1 pivots, refactorizations,
+   branch-and-bound nodes and the bits of the objective, for Table-3
+   points p0-p2 under both mapping methods and for every committed MPS
+   corpus model. The simplex kernels promise bit-identical float
+   operation order, so any change to a hot loop that moves one of these
+   numbers has changed the trajectory, not just the speed. Objectives
+   are hex float literals compared bit for bit; [None] is infeasible. *)
+let trajectory_pins =
+  [
+    ("p0 complete", (957, 760, 13, 1, Some 0x1.278e4p+18));
+    ("p0 global", (225, 159, 8, 1, Some 0x1.278e4p+18));
+    ("p1 complete", (2766, 1599, 41, 1, Some 0x1.c0117fffffeep+18));
+    ("p1 global", (326, 154, 13, 1, Some 0x1.c0118p+18));
+    ("p2 complete", (3717, 1554, 39, 5, Some 0x1.22d88p+18));
+    ("p2 global", (559, 182, 32, 3, Some 0x1.22d88p+18));
+    ("assignment.mps", (12, 6, 3, 1, Some 0x1.4p+2));
+    ("facility.mps", (33, 21, 3, 1, Some 0x1.4p+3));
+    ("gubknap.mps", (24, 15, 3, 1, Some 0x1.8p+3));
+    ("infeasible.mps", (6, 6, 3, 1, None));
+    ("knapsack.mps", (10, 0, 5, 1, Some (-0x1p+4)));
+    ("mixed.mps", (6, 0, 3, 1, Some (-0x1.ap+2)));
+    ("prodmix.mps", (12, 0, 3, 1, Some (-0x1.1p+4)));
+    ("rangelp.mps", (1, 1, 1, 1, Some 0x1.4p+2));
+    ("setcover.mps", (15, 3, 3, 1, Some 0x1.4p+2));
+  ]
+
+let exact_float =
+  Alcotest.testable
+    (fun fmt x -> Format.fprintf fmt "%h" x)
+    (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+
+let check_pin label (r : Solver.result) =
+  let pivots, phase1, refactors, nodes, objective =
+    match List.assoc_opt label trajectory_pins with
+    | Some pin -> pin
+    | None -> Alcotest.failf "%s: no trajectory pin" label
+  in
+  let s = r.Solver.stats.Solver.lp in
+  Alcotest.(check int) (label ^ " pivots") pivots s.Simplex.pivots;
+  Alcotest.(check int)
+    (label ^ " phase-1 pivots")
+    phase1 s.Simplex.phase1_pivots;
+  Alcotest.(check int) (label ^ " refactorizations") refactors
+    s.Simplex.refactorizations;
+  Alcotest.(check int) (label ^ " nodes") nodes r.Solver.mip.Branch_bound.nodes;
+  Alcotest.(check (option exact_float)) (label ^ " objective") objective
+    r.Solver.mip.Branch_bound.objective
+
+let test_trajectory_table3 () =
+  List.iteri
+    (fun i (point : Mm_workload.Table3.point) ->
+      if i <= 2 then begin
+        let board, design =
+          Mm_workload.Gen.instance point.Mm_workload.Table3.spec
+        in
+        List.iter
+          (fun (name, method_) ->
+            let options = Mm_mapping.Mapper.options ~parallelism:1 () in
+            match Mm_mapping.Mapper.run ~method_ ~options board design with
+            | Ok o ->
+                check_pin (Printf.sprintf "p%d %s" i name)
+                  o.Mm_mapping.Mapper.ilp_result
+            | Error e -> Alcotest.fail (Mm_mapping.Mapper.error_to_string e))
+          [
+            ("complete", Mm_mapping.Mapper.Complete_flat);
+            ("global", Mm_mapping.Mapper.Global_detailed);
+          ]
+      end)
+    Mm_workload.Table3.points
+
+let test_trajectory_corpus () =
+  let dir = "../corpus" in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".mps")
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "every corpus model is pinned"
+    (List.filter (fun (l, _) -> Filename.check_suffix l ".mps") trajectory_pins
+    |> List.map fst)
+    files;
+  List.iter
+    (fun f ->
+      match Mps.of_file (Filename.concat dir f) with
+      | Error e -> Alcotest.fail e
+      | Ok p ->
+          check_pin f
+            (Solver.solve ~options:(Solver.options ~parallelism:1 ()) p))
+    files
+
+(* Allocation budget of the simplex hot loops: minor words per pivot
+   while [Simplex.solve] runs the root LP of Table-3 point p2 (complete
+   formulation: 374 rows, 2774 columns, 1019 pivots). Measured at 311
+   words/pivot once pricing, the Devex updates, the ratio test and the
+   step stopped allocating (6470 before, when every column dot product
+   boxed its accumulator through a closure); the bound is that
+   measurement plus about 50%. What remains is mostly the eta file and
+   the refactorizations. *)
+let test_simplex_alloc_budget () =
+  let point = List.nth Mm_workload.Table3.points 2 in
+  let board, design = Mm_workload.Gen.instance point.Mm_workload.Table3.spec in
+  match
+    Mm_mapping.Complete_ilp.F.build (Mm_mapping.Formulation.ctx board design)
+  with
+  | Error e -> Alcotest.fail e
+  | Ok (p, _) ->
+      let s = Simplex.create p in
+      let w0 = Gc.minor_words () in
+      let r = Simplex.solve s in
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check bool) "root LP optimal" true (r = Simplex.Optimal);
+      let pivots = (Simplex.stats s).Simplex.pivots in
+      Alcotest.(check int) "root pivots" 1019 pivots;
+      let per_pivot = words /. float_of_int pivots in
+      if per_pivot > 470.0 then
+        Alcotest.failf "%.1f minor words per pivot, budget 470" per_pivot
+
 let () =
   Alcotest.run "mm_lp"
     [
@@ -1824,6 +1987,8 @@ let () =
             test_trace_deterministic_serial;
           Alcotest.test_case "disabled is silent" `Quick
             test_trace_disabled_writes_nothing;
+          Alcotest.test_case "magnitudes render unitless" `Quick
+            test_summary_magnitude_tables;
         ] );
       ( "cuts",
         [
@@ -1870,5 +2035,13 @@ let () =
           Alcotest.test_case "ranges semantics" `Quick
             test_mps_ranges_semantics;
           prop_mps_roundtrip_structure;
+        ] );
+      ( "trajectory",
+        [
+          Alcotest.test_case "Table-3 p0-p2 pinned" `Quick
+            test_trajectory_table3;
+          Alcotest.test_case "corpus pinned" `Quick test_trajectory_corpus;
+          Alcotest.test_case "simplex allocation budget" `Quick
+            test_simplex_alloc_budget;
         ] );
     ]
