@@ -311,7 +311,7 @@ let measure_table3 () =
       let opts_dz =
         Mm_mapping.Mapper.options
           ~solver_options:
-            (Mm_lp.Solver.quick_options ~time_limit:cap
+            (Mm_lp.Config.make ~time_limit:cap
                ~pricing:Mm_lp.Simplex.Dantzig ())
           ()
       in
@@ -329,14 +329,14 @@ let measure_table3 () =
       let opts_dlu =
         Mm_mapping.Mapper.options
           ~solver_options:
-            (Mm_lp.Solver.quick_options ~time_limit:cap
+            (Mm_lp.Config.make ~time_limit:cap
                ~lu_kernel:Mm_lp.Lu.Dense ())
           ()
       in
       let opts_slu =
         Mm_mapping.Mapper.options
           ~solver_options:
-            (Mm_lp.Solver.quick_options ~time_limit:cap
+            (Mm_lp.Config.make ~time_limit:cap
                ~lu_kernel:Mm_lp.Lu.Sparse ())
           ()
       in
@@ -1304,7 +1304,7 @@ let run_pricing_smoke () =
     let opts =
       Mm_mapping.Mapper.options
         ~solver_options:
-          (Mm_lp.Solver.quick_options ~time_limit:cap ~pricing ())
+          (Mm_lp.Config.make ~time_limit:cap ~pricing ())
         ()
     in
     let t0 = Unix.gettimeofday () in
@@ -1527,7 +1527,7 @@ let run_serve_smoke () =
   let spec = point.Mm_workload.Table3.spec in
   let board, design = Mm_workload.Gen.instance spec in
   let cap = quick_cap () in
-  let knobs = Mm_service.Knobs.make ~time_limit:cap () in
+  let knobs = Mm_lp.Config.make ~time_limit:cap () in
   let engine = Mm_service.Engine.create () in
   let req = Mm_service.Request.make ~id:"bench" ~knobs board design in
   let repeats = 4 in
@@ -1676,7 +1676,7 @@ let run_serve_batch_ab () =
   let spec = point.Mm_workload.Table3.spec in
   let board, design = Mm_workload.Gen.instance spec in
   let cap = quick_cap () in
-  let knobs = Mm_service.Knobs.make ~time_limit:cap () in
+  let knobs = Mm_lp.Config.make ~time_limit:cap () in
   let burst = 12 in
   let workers = 2 in
   let lines =
@@ -1956,7 +1956,7 @@ let run_scaling () =
                the hypersparse win exactly where production engages
                it, and reads ~1.0x on the small tiers. *)
             let options_dlu =
-              Mm_lp.Solver.quick_options ~time_limit:cap
+              Mm_lp.Config.make ~time_limit:cap
                 ~parallelism:bench_parallelism ~lu_kernel:Mm_lp.Lu.Dense ()
             in
             let rd = Mm_lp.Solver.solve ~options:options_dlu p in

@@ -134,7 +134,7 @@ let solve_cmd =
         ~access_model:
           (if profiled then Mm_mapping.Cost.Profiled else Mm_mapping.Cost.Uniform)
         ~detailed ~arbitration ~port_model ~trace
-        ~solver_options:(Mm_service.Knobs.to_solver_options knobs)
+        ~solver_options:knobs
         ()
     in
     let dump out writer =
@@ -176,9 +176,7 @@ let solve_cmd =
                (Mm_mapping.Report.to_json
                   (Mm_mapping.Report.of_outcome board design o)))
         else begin
-        print_endline
-          (Mm_mapping.Report.solver_config
-             options.Mm_mapping.Mapper.solver_options);
+        print_endline (Mm_lp.Config.echo knobs);
         if placements then print_string (Mm_mapping.Report.outcome board design o)
         else begin
           Printf.printf
@@ -341,9 +339,8 @@ let solve_mps_cmd =
           | None -> Mm_obs.Trace.disabled
           | Some _ -> Mm_obs.Trace.create ()
         in
-        let options = Mm_service.Knobs.to_solver_options ~trace knobs in
-        print_endline (Mm_mapping.Report.solver_config options);
-        let r = Mm_lp.Solver.solve ~options p in
+        print_endline (Mm_lp.Config.echo knobs);
+        let r = Mm_lp.Solver.solve ~trace ~options:knobs p in
         (match trace_out with
         | None -> ()
         | Some path ->

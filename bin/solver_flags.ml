@@ -1,17 +1,23 @@
 (* The one Cmdliner spec for the MIP-solver knobs, shared by [solve],
    [solve-mps] and [serve] (where it sets the daemon's default knobs).
-   Evaluates to an [Mm_service.Knobs.t]; adding a knob here surfaces it
-   on all three subcommands and — via the [Knobs] JSON codec — on the
-   service wire format at once. *)
+   Evaluates to an [Mm_lp.Config.t], validated by the same checks the
+   service applies to a request's [knobs] object; every flag default is
+   read from [Mm_lp.Config.default]. *)
 
 open Cmdliner
 
+let default = Mm_lp.Config.default
+
 let time_limit_arg =
-  Arg.(value & opt (some float) None & info [ "time-limit" ] ~docv:"SECONDS"
-         ~doc:"Wall-clock budget for each ILP solve.")
+  Arg.(value
+       & opt (some float) default.time_limit
+       & info [ "time-limit" ] ~docv:"SECONDS"
+           ~doc:"Wall-clock budget for each ILP solve.")
 
 let parallelism_arg =
-  Arg.(value & opt int 1 & info [ "j"; "parallelism" ] ~docv:"N"
+  Arg.(value
+       & opt int default.parallelism
+       & info [ "j"; "parallelism" ] ~docv:"N"
          ~doc:"Worker domains for the branch-and-bound tree search. \
                $(b,1) (default) is the deterministic serial schedule; \
                $(b,0) uses all available cores. Any value proves the \
@@ -21,7 +27,7 @@ let pricing_arg =
   Arg.(value
        & opt (enum [ ("devex", Mm_lp.Simplex.Devex);
                      ("dantzig", Mm_lp.Simplex.Dantzig) ])
-           Mm_lp.Simplex.Devex
+           default.pricing
        & info [ "pricing" ]
            ~doc:"Simplex pricing strategy: $(b,devex) (default; reference \
                  weights, partial pricing, bound flips) or $(b,dantzig) \
@@ -35,7 +41,7 @@ let lu_kernel_arg =
                 ("sparse", Mm_lp.Lu.Sparse);
                 ("dense", Mm_lp.Lu.Dense);
               ])
-           Mm_lp.Lu.Auto
+           default.lu_kernel
        & info [ "lu-kernel" ]
            ~doc:"FTRAN/BTRAN triangular-solve kernel: $(b,auto) (default; \
                  hypersparse symbolic-reachability solves on bases large \
@@ -46,12 +52,13 @@ let lu_kernel_arg =
                  trajectory.")
 
 let cut_rounds_arg =
-  Arg.(value & opt int 3 & info [ "cut-rounds" ] ~docv:"N"
+  Arg.(value & opt int default.cut_rounds & info [ "cut-rounds" ] ~docv:"N"
          ~doc:"Root cutting-plane separation rounds ($(b,0) keeps the \
                solver cut-free at the root; node cuts may still fire).")
 
 let max_cuts_arg =
-  Arg.(value & opt int 50 & info [ "max-cuts-per-round" ] ~docv:"N"
+  Arg.(value & opt int default.max_cuts_per_round
+       & info [ "max-cuts-per-round" ] ~docv:"N"
          ~doc:"Cap on cuts accepted per separation round.")
 
 let no_cuts_arg =
@@ -63,17 +70,21 @@ let no_heuristics_arg =
          ~doc:"Disable the GUB diving heuristic that seeds the incumbent \
                before the tree search.")
 
-let term : Mm_service.Knobs.t Term.t =
+let term : Mm_lp.Config.t Term.t =
   let make time_limit parallelism pricing lu_kernel cut_rounds
       max_cuts_per_round no_cuts no_heuristics =
-    Mm_service.Knobs.make ~parallelism ~pricing ~lu_kernel ~cuts:(not no_cuts)
-      ~cut_rounds ~max_cuts_per_round ~heuristics:(not no_heuristics)
-      ?time_limit ()
+    Result.map_error
+      (fun e -> `Msg ("solver flags: " ^ e))
+      (Mm_lp.Config.check
+         (Mm_lp.Config.make ~parallelism ~pricing ~lu_kernel
+            ~cuts:(not no_cuts) ~cut_rounds ~max_cuts_per_round
+            ~heuristics:(not no_heuristics) ?time_limit ()))
   in
   Term.(
-    const make $ time_limit_arg $ parallelism_arg $ pricing_arg
-    $ lu_kernel_arg $ cut_rounds_arg $ max_cuts_arg $ no_cuts_arg
-    $ no_heuristics_arg)
+    term_result
+      (const make $ time_limit_arg $ parallelism_arg $ pricing_arg
+      $ lu_kernel_arg $ cut_rounds_arg $ max_cuts_arg $ no_cuts_arg
+      $ no_heuristics_arg))
 
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"

@@ -1,63 +1,58 @@
 module Solver = Mm_lp.Solver
 module Simplex = Mm_lp.Simplex
-module Branch_bound = Mm_lp.Branch_bound
+module Config = Mm_lp.Config
 
+type t = { name : string; config : Config.t; warm : bool }
 type cuts_mode = Full | Off | Baseline
 
-type t = {
-  name : string;
-  parallelism : int;
-  pricing : Mm_lp.Simplex.pricing;
-  lu_kernel : Mm_lp.Lu.kernel;
-  cuts : cuts_mode;
-  warm : bool;
-}
+(* The arm's name spells out its configuration:
+   [j<parallelism>-<pricing>-<cuts>[-warm][-slu|-dlu]]. *)
+let mk ?(lu_kernel = Config.default.lu_kernel) parallelism pricing cuts warm =
+  let name =
+    Printf.sprintf "j%d-%s-%s%s%s" parallelism
+      (Simplex.pricing_to_string pricing)
+      (match cuts with Full -> "full" | Off -> "nocuts" | Baseline -> "baseline")
+      (if warm then "-warm" else "")
+      (match lu_kernel with
+      | Mm_lp.Lu.Auto -> ""
+      | Mm_lp.Lu.Sparse -> "-slu"
+      | Mm_lp.Lu.Dense -> "-dlu")
+  in
+  let config =
+    match cuts with
+    | Full -> Config.make ~parallelism ~pricing ~lu_kernel ()
+    | Off -> Config.make ~cuts:false ~parallelism ~pricing ~lu_kernel ()
+    | Baseline -> Solver.baseline_options ~parallelism ~pricing ~lu_kernel ()
+  in
+  { name; config; warm }
 
-let mk ?(lu_kernel = Mm_lp.Lu.Auto) name parallelism pricing cuts warm =
-  { name; parallelism; pricing; lu_kernel; cuts; warm }
-
-let reference = mk "j1-devex-full" 1 Simplex.Devex Full false
+let reference = mk 1 Simplex.Devex Full false
 
 let matrix =
   [
-    mk "j2-devex-full" 2 Simplex.Devex Full false;
-    mk "j4-devex-full" 4 Simplex.Devex Full false;
-    mk "j1-dantzig-full" 1 Simplex.Dantzig Full false;
-    mk "j2-dantzig-full" 2 Simplex.Dantzig Full false;
-    mk "j1-devex-nocuts" 1 Simplex.Devex Off false;
-    mk "j1-dantzig-nocuts" 1 Simplex.Dantzig Off false;
-    mk "j4-dantzig-nocuts" 4 Simplex.Dantzig Off false;
-    mk "j1-devex-baseline" 1 Simplex.Devex Baseline false;
-    mk "j2-devex-baseline" 2 Simplex.Devex Baseline false;
-    mk "j1-devex-full-warm" 1 Simplex.Devex Full true;
-    mk "j2-devex-full-warm" 2 Simplex.Devex Full true;
+    mk 2 Simplex.Devex Full false;
+    mk 4 Simplex.Devex Full false;
+    mk 1 Simplex.Dantzig Full false;
+    mk 2 Simplex.Dantzig Full false;
+    mk 1 Simplex.Devex Off false;
+    mk 1 Simplex.Dantzig Off false;
+    mk 4 Simplex.Dantzig Off false;
+    mk 1 Simplex.Devex Baseline false;
+    mk 2 Simplex.Devex Baseline false;
+    mk 1 Simplex.Devex Full true;
+    mk 2 Simplex.Devex Full true;
     (* fuzz instances sit far below the Auto size floor, so the Auto
        arms all run dense sweeps; the forced-Sparse [-slu] arms are
        what actually drags the hypersparse path through the campaign,
        and the forced-Dense [-dlu] arms pin the baseline. *)
-    mk ~lu_kernel:Mm_lp.Lu.Sparse "j1-devex-full-slu" 1 Simplex.Devex Full false;
-    mk ~lu_kernel:Mm_lp.Lu.Sparse "j2-devex-full-slu" 2 Simplex.Devex Full false;
-    mk ~lu_kernel:Mm_lp.Lu.Dense "j1-dantzig-nocuts-dlu" 1 Simplex.Dantzig Off
-      false;
-    mk ~lu_kernel:Mm_lp.Lu.Dense "j1-devex-full-warm-dlu" 1 Simplex.Devex Full
-      true;
+    mk ~lu_kernel:Mm_lp.Lu.Sparse 1 Simplex.Devex Full false;
+    mk ~lu_kernel:Mm_lp.Lu.Sparse 2 Simplex.Devex Full false;
+    mk ~lu_kernel:Mm_lp.Lu.Dense 1 Simplex.Dantzig Off false;
+    mk ~lu_kernel:Mm_lp.Lu.Dense 1 Simplex.Devex Full true;
   ]
 
-let solver_options ?time_limit t =
-  let bb = Branch_bound.options ?time_limit () in
-  match t.cuts with
-  | Full ->
-      Solver.options ~parallelism:t.parallelism ~pricing:t.pricing
-        ~lu_kernel:t.lu_kernel ~bb ()
-  | Off ->
-      Solver.options ~cuts:false ~parallelism:t.parallelism ~pricing:t.pricing
-        ~lu_kernel:t.lu_kernel ~bb ()
-  | Baseline ->
-      Solver.baseline_options ?time_limit ~parallelism:t.parallelism
-        ~pricing:t.pricing ~lu_kernel:t.lu_kernel ()
-
 let solve ?time_limit t p =
-  let options = solver_options ?time_limit t in
+  let options = { t.config with Config.time_limit } in
   if not t.warm then Solver.solve ~options p
   else begin
     (* first solve trains the state, the reported result is the

@@ -12,16 +12,14 @@
     trajectory pivot for pivot, so any numeric divergence between the
     kernels surfaces as an objective or status disagreement. *)
 
-type cuts_mode = Full | Off | Baseline
-
 type t = {
   name : string;
-  parallelism : int;
-  pricing : Mm_lp.Simplex.pricing;
-  lu_kernel : Mm_lp.Lu.kernel;
-      (** FTRAN/BTRAN kernel; forced-[Sparse] arms carry a [-slu] name
-          suffix, forced-[Dense] arms [-dlu] *)
-  cuts : cuts_mode;
+      (** [j<parallelism>-<pricing>-<full|nocuts|baseline>[-warm]], then
+          [-slu] for a forced-[Sparse] kernel or [-dlu] for a
+          forced-[Dense] one *)
+  config : Mm_lp.Config.t;
+      (** the solver configuration; its [time_limit] is replaced by
+          {!solve}'s *)
   warm : bool;
       (** solve twice through one {!Mm_lp.Solver.warm} state and report
           the second (warm-started) result *)
@@ -36,8 +34,6 @@ val matrix : t list
     reference plus a per-case rotating subset, so all arms accumulate
     coverage across a few thousand cases without solving every instance
     12 times. *)
-
-val solver_options : ?time_limit:float -> t -> Mm_lp.Solver.options
 
 val solve : ?time_limit:float -> t -> Mm_lp.Problem.t -> Mm_lp.Solver.result
 (** Solves under this arm's configuration; for a [warm] arm this is two

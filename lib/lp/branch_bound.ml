@@ -4,53 +4,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type status = Optimal | Feasible | Infeasible | Unbounded | Unknown
 
-type options = {
-  time_limit : float option;
-  node_limit : int option;
-  gap_tol : float;
-  int_tol : float;
-  log_every : int option;
-  parallelism : int;
-  pricing : Simplex.pricing;
-  lu_kernel : Lu.kernel;
-  trace : Mm_obs.Trace.t;
-  node_cut_depth : int;
-  node_cut_freq : int;
-}
-
-let default_options =
-  {
-    time_limit = None;
-    node_limit = None;
-    gap_tol = 1e-9;
-    int_tol = 1e-6;
-    log_every = None;
-    parallelism = 1;
-    pricing = Simplex.Devex;
-    lu_kernel = Lu.Auto;
-    trace = Mm_obs.Trace.disabled;
-    node_cut_depth = 2;
-    node_cut_freq = 4;
-  }
-
-let options ?time_limit ?node_limit ?(gap_tol = 1e-9) ?(int_tol = 1e-6)
-    ?log_every ?(parallelism = 1) ?(pricing = Simplex.Devex)
-    ?(lu_kernel = Lu.Auto) ?(trace = Mm_obs.Trace.disabled)
-    ?(node_cut_depth = 2) ?(node_cut_freq = 4) () =
-  {
-    time_limit;
-    node_limit;
-    gap_tol;
-    int_tol;
-    log_every;
-    parallelism;
-    pricing;
-    lu_kernel;
-    trace;
-    node_cut_depth;
-    node_cut_freq;
-  }
-
 type par_stats = {
   domains_used : int;
   nodes_stolen : int;
@@ -191,8 +144,8 @@ type workspace = {
   mutable retired_pivots : int;
 }
 
-let solve ?(options = default_options) ?cuts ?initial ?warm_pc (p : Problem.t)
-    =
+let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?cuts
+    ?initial ?warm_pc (p : Problem.t) =
   let t0 = Unix.gettimeofday () in
   let deadline = Option.map (fun tl -> t0 +. tl) options.time_limit in
   let n = p.Problem.ncols in
@@ -227,7 +180,7 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc (p : Problem.t)
      numbers are deterministic (worker 0 gets the lowest slot) *)
   let sinks = Array.make nworkers Mm_obs.Trace.null in
   for i = 0 to nworkers - 1 do
-    sinks.(i) <- Mm_obs.Trace.register options.trace
+    sinks.(i) <- Mm_obs.Trace.register trace
   done;
   let pool =
     Node_pool.create ~sinks ~workers:nworkers ~prio:(fun nd -> nd.bound) ()
@@ -632,14 +585,24 @@ let solve ?(options = default_options) ?cuts ?initial ?warm_pc (p : Problem.t)
       signal Stop_limit;
       Node_pool.halt pool
   in
-  let helpers =
-    Array.init (nworkers - 1) (fun i ->
-        Domain.spawn (fun () -> run_worker workspaces.(i + 1)))
-  in
+  (* a spawn can fail partway (the runtime caps live domains): halt the
+     pool so the helpers already running stop, join them, re-raise —
+     leaking them would starve every later multi-domain solve *)
+  let helpers = ref [] in
+  (try
+     for i = 1 to nworkers - 1 do
+       helpers := Domain.spawn (fun () -> run_worker workspaces.(i)) :: !helpers
+     done
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     signal Stop_limit;
+     Node_pool.halt pool;
+     List.iter Domain.join !helpers;
+     Printexc.raise_with_backtrace e bt);
   run_worker workspaces.(0);
-  Array.iter Domain.join helpers;
+  List.iter Domain.join !helpers;
   (* all domains joined: flushing their sinks from here is race-free *)
-  if Mm_obs.Trace.enabled options.trace then begin
+  if Mm_obs.Trace.enabled trace then begin
     let idle = Node_pool.idle_per_worker pool in
     Array.iteri
       (fun i ws ->

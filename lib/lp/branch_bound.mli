@@ -29,60 +29,6 @@ type status =
   | Unbounded
   | Unknown  (** limit hit before any incumbent *)
 
-type options = {
-  time_limit : float option;  (** wall-clock seconds *)
-  node_limit : int option;
-  gap_tol : float;  (** relative gap for early optimality, default 1e-9 *)
-  int_tol : float;  (** integrality tolerance, default 1e-6 *)
-  log_every : int option;  (** log progress every N nodes via [Logs] *)
-  parallelism : int;
-      (** worker domains for the tree search; 1 (default) is the
-          deterministic serial schedule, [<= 0] asks the runtime for
-          [Domain.recommended_domain_count ()] *)
-  pricing : Simplex.pricing;
-      (** pricing strategy for every per-domain simplex workspace,
-          default {!Simplex.Devex} *)
-  lu_kernel : Lu.kernel;
-      (** triangular-solve kernel for every per-domain simplex
-          workspace, default {!Lu.Auto} (hypersparse on large bases
-          with automatic dense fallback); {!Lu.Sparse}/{!Lu.Dense}
-          force one path, for A/B runs *)
-  trace : Mm_obs.Trace.t;
-      (** structured tracing (default disabled): each worker domain
-          registers one sink and records node, incumbent, steal and
-          idle events plus pivot/refactorization latency histograms *)
-  node_cut_depth : int;
-      (** deepest node allowed to run a separation round (default 2 —
-          shallow nodes reshape the whole subtree below them, while
-          deep re-separation mostly buys dense LPs, measured on the
-          Table-3 sweep; [0] disables node cuts even when a pool is
-          supplied) *)
-  node_cut_freq : int;
-      (** a worker separates at every [freq]-th node it processes
-          within the depth window, default 4 *)
-}
-
-val default_options : options
-
-val options :
-  ?time_limit:float ->
-  ?node_limit:int ->
-  ?gap_tol:float ->
-  ?int_tol:float ->
-  ?log_every:int ->
-  ?parallelism:int ->
-  ?pricing:Simplex.pricing ->
-  ?lu_kernel:Lu.kernel ->
-  ?trace:Mm_obs.Trace.t ->
-  ?node_cut_depth:int ->
-  ?node_cut_freq:int ->
-  unit ->
-  options
-(** Builder for {!options}; prefer this over record literals so new
-    fields stay non-breaking. Unset labels take the defaults of
-    {!default_options} (no limits, [gap_tol = 1e-9], [int_tol = 1e-6],
-    [parallelism = 1], Devex pricing, tracing disabled). *)
-
 type par_stats = {
   domains_used : int;  (** worker domains actually spawned *)
   nodes_stolen : int;  (** nodes migrated across per-domain deques *)
@@ -158,15 +104,22 @@ val gap : result -> float option
 (** Relative gap between incumbent and bound; [None] without incumbent. *)
 
 val solve :
-  ?options:options ->
+  ?trace:Mm_obs.Trace.t ->
+  ?options:Config.t ->
   ?cuts:Cut_pool.t ->
   ?initial:float array * float ->
   ?warm_pc:pseudocosts ->
   Problem.t ->
   result
-(** [solve ?options ?cuts ?initial p] explores [p]'s tree. [?cuts] is
-    the pool whose {!Cut_pool.root_problem} is [p]; it enables node
-    separation (see {!options.node_cut_depth}). [?initial] is a known
+(** [solve ?options ?cuts ?initial p] explores [p]'s tree under the
+    limits, tolerances, worker count, pricing, LU kernel and node-cut
+    gating of [options] (default {!Config.default}); its cut-loop
+    fields are the pool's business. [?trace] (default disabled)
+    gets one registered sink per worker domain, recording node,
+    incumbent, steal and idle events plus pivot/refactorization
+    latency histograms. [?cuts] is the pool whose
+    {!Cut_pool.root_problem} is [p]; it enables node separation (see
+    {!Config.t.node_cut_depth}). [?initial] is a known
     integer-feasible point with its internal (minimization-sense,
     [obj_const]-inclusive) objective — typically {!Heuristics.run}'s
     incumbent — validated against [p] and used to seed the atomic
@@ -175,4 +128,5 @@ val solve :
     problem (silently ignored when the column count differs); seeded
     branching changes the node order, so it is opt-in — the
     [parallelism = 1] determinism contract only covers unseeded
-    runs. *)
+    runs. If a worker domain cannot be spawned, the helpers already
+    running are stopped and joined before the exception escapes. *)

@@ -2,25 +2,6 @@ let src = Logs.Src.create "mm_lp.cuts" ~doc:"cut pool"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type options = {
-  rounds : int;
-  max_per_round : int;
-  max_age : int;
-  separators : Separator.t list;
-}
-
-let default_options =
-  {
-    rounds = 3;
-    max_per_round = 50;
-    max_age = 8;
-    separators = Separator.default;
-  }
-
-let options ?(rounds = 3) ?(max_per_round = 50) ?(max_age = 8)
-    ?(separators = Separator.default) () =
-  { rounds; max_per_round; max_age; separators }
-
 (* One accepted cut: its row name carries the family prefix and a
    per-pool counter ("cover:12"), so traces never collide across
    rounds or nodes. *)
@@ -32,7 +13,8 @@ type entry = {
 }
 
 type t = {
-  opts : options;
+  config : Config.t;
+  separators : Separator.t list;
   base : Problem.t;
   seen : (string, unit) Hashtbl.t;
   counters : (string, int ref) Hashtbl.t;  (* per-family naming counter *)
@@ -45,9 +27,10 @@ type t = {
   mutable node_rows_rev : (string * (int * float) list * float * float) list;
 }
 
-let create ?(options = default_options) base =
+let create ?(options = Config.default) base =
   {
-    opts = options;
+    config = options;
+    separators = Config.separator_modules options;
     base;
     seen = Hashtbl.create 64;
     counters = Hashtbl.create 8;
@@ -118,7 +101,7 @@ let select t x cand =
   let accepted = ref [] and count = ref 0 in
   List.iter
     (fun c ->
-      if !count < t.opts.max_per_round then begin
+      if !count < t.config.Config.max_cuts_per_round then begin
         let key = key_of c in
         if not (Hashtbl.mem t.seen key) then begin
           Hashtbl.replace t.seen key ();
@@ -152,7 +135,7 @@ type root_stats = {
 
 (* Activity-based aging: after each root LP solve, a cut row sitting
    strictly inside its bounds gets older; a binding one rejuvenates.
-   Entries loose for [max_age] consecutive solves are dropped from the
+   Entries loose for [cut_max_age] consecutive solves are dropped from the
    LP when the loop ends (their keys are forgotten, so a separator may
    legitimately rediscover them later at a node). *)
 let age_update t x =
@@ -171,7 +154,9 @@ let age_update t x =
 
 let prune t p =
   let keep, drop =
-    List.partition (fun e -> e.age < t.opts.max_age) t.root_entries
+    List.partition
+      (fun e -> e.age < t.config.Config.cut_max_age)
+      t.root_entries
   in
   if drop = [] then p
   else begin
@@ -194,8 +179,8 @@ let prune t p =
    the loop immediately (traced as [cut_noop_round]); the last allowed
    round's cuts are kept without a further re-solve since they still
    strengthen the branch-and-bound relaxations. *)
-let root_loop ?basis ?deadline ~pricing ?(lu_kernel = Lu.Auto) ~snk t =
-  let opts = t.opts in
+let root_loop ?basis ?deadline ~snk t =
+  let rounds = t.config.Config.cut_rounds in
   let lp_stats = ref Simplex.empty_stats and lp_time = ref 0.0 in
   let finish sx =
     lp_stats := Simplex.merge_stats !lp_stats (Simplex.stats sx);
@@ -223,7 +208,7 @@ let root_loop ?basis ?deadline ~pricing ?(lu_kernel = Lu.Auto) ~snk t =
         else begin
           let ctx = { Separator.p; x; sx = Some sx } in
           let cand =
-            List.concat_map (fun s -> Separator.separate s ctx) opts.separators
+            List.concat_map (fun s -> Separator.separate s ctx) t.separators
           in
           let accepted = select t x cand in
           if accepted = [] then begin
@@ -237,7 +222,7 @@ let root_loop ?basis ?deadline ~pricing ?(lu_kernel = Lu.Auto) ~snk t =
             let p' = Problem.extend_rows p (List.map row_of accepted) in
             added := !added + List.length accepted;
             t.root_entries <- t.root_entries @ accepted;
-            if round + 1 >= opts.rounds then begin
+            if round + 1 >= rounds then begin
               finish sx;
               p'
             end
@@ -252,9 +237,12 @@ let root_loop ?basis ?deadline ~pricing ?(lu_kernel = Lu.Auto) ~snk t =
         p
   in
   let final =
-    if opts.rounds <= 0 || opts.separators = [] then t.base
+    if rounds <= 0 || t.separators = [] then t.base
     else begin
-      let sx0 = Simplex.create ~pricing ~lu_kernel t.base in
+      let sx0 =
+        Simplex.create ~pricing:t.config.Config.pricing
+          ~lu_kernel:t.config.Config.lu_kernel t.base
+      in
       (* warm restart: a basis cached from a previous solve of the same
          base problem replaces the slack basis before the first solve *)
       (match basis with
@@ -312,7 +300,7 @@ let rows_from t k =
    row sequence to its own LP, so basis snapshots stay exchangeable.
    Returns the new activation count. *)
 let node_separate t p x =
-  let seps = List.filter Separator.bound_free t.opts.separators in
+  let seps = List.filter Separator.bound_free t.separators in
   if seps = [] then Atomic.get t.ncount
   else begin
     let ctx = { Separator.p; x; sx = None } in

@@ -6,29 +6,13 @@
     list through which {!Branch_bound} workers share cuts separated at
     tree nodes. *)
 
-type options = {
-  rounds : int;  (** root separation rounds, default 3 *)
-  max_per_round : int;  (** acceptance cap per separation call, default 50 *)
-  max_age : int;
-      (** consecutive loose root LP solves before a cut is dropped from
-          the LP, default 8; [max_int] disables aging *)
-  separators : Separator.t list;
-}
-
-val default_options : options
-
-val options :
-  ?rounds:int ->
-  ?max_per_round:int ->
-  ?max_age:int ->
-  ?separators:Separator.t list ->
-  unit ->
-  options
-
 type t
 
-val create : ?options:options -> Problem.t -> t
-(** A pool over a base problem (the presolved MIP, cut-free). *)
+val create : ?options:Config.t -> Problem.t -> t
+(** A pool over a base problem (the presolved MIP, cut-free), running
+    [options]' separators (default {!Config.default}) with its
+    [cut_rounds], [max_cuts_per_round] and [cut_max_age]; the root
+    loop's simplex uses its [pricing] and [lu_kernel]. *)
 
 type root_stats = {
   added : int;  (** cuts accepted across all root rounds *)
@@ -45,15 +29,13 @@ type root_stats = {
 val root_loop :
   ?basis:Simplex.basis ->
   ?deadline:float ->
-  pricing:Simplex.pricing ->
-  ?lu_kernel:Lu.kernel ->
   snk:Mm_obs.Trace.sink ->
   t ->
   Problem.t * root_stats
 (** The root cutting-plane loop: solve the relaxation, separate with
     every configured family, accept the best-scoring fresh cuts,
     re-solve warm via [Simplex.create_from ~prefer_dual], repeat up to
-    [rounds]. Cuts left loose for [max_age] consecutive solves are
+    [cut_rounds]. Cuts left loose for [cut_max_age] consecutive solves are
     dropped before the strengthened problem is returned (their hashes
     are forgotten so they may be rediscovered later). Single-threaded;
     call before spawning workers.

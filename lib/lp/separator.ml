@@ -385,9 +385,6 @@ end
 let cover : t = (module Cover)
 let lifted_cover : t = (module Lifted_cover)
 let gomory : t = (module Gomory)
-let default = [ cover; lifted_cover; gomory ]
-let cover_only = [ cover ]
-
 let of_string = function
   | "cover" -> Some cover
   | "lcover" -> Some lifted_cover

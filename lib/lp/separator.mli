@@ -64,10 +64,4 @@ val gomory : t
     the optimal tableau ({!Simplex.tableau_row} over
     {!Lu.btran_unit}). Not [bound_free]: separated only at the root. *)
 
-val default : t list
-(** [[cover; lifted_cover; gomory]] — the full arsenal. *)
-
-val cover_only : t list
-(** The historical root-cover-only configuration. *)
-
 val of_string : string -> t option

@@ -2,86 +2,18 @@ let src = Logs.Src.create "mm_lp.solver" ~doc:"solver facade"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type options = {
-  presolve : bool;
-  cuts : bool;
-  cut_rounds : int;
-  max_cuts_per_round : int;
-  cut_max_age : int;
-  separators : Separator.t list;
-  heuristics : bool;
-  parallelism : int;
-  pricing : Simplex.pricing;
-  lu_kernel : Lu.kernel;
-  trace : Mm_obs.Trace.t;
-  bb : Branch_bound.options;
-}
+let quick_options ?time_limit ?parallelism () =
+  Config.make ?time_limit ?parallelism ()
 
-let default_options =
-  {
-    presolve = true;
-    cuts = true;
-    cut_rounds = 3;
-    max_cuts_per_round = 50;
-    cut_max_age = 8;
-    separators = Separator.default;
-    heuristics = true;
-    parallelism = 1;
-    pricing = Simplex.Devex;
-    lu_kernel = Lu.Auto;
-    trace = Mm_obs.Trace.disabled;
-    bb = Branch_bound.default_options;
-  }
-
-let options ?(presolve = true) ?(cuts = true) ?(cut_rounds = 3)
-    ?(max_cuts_per_round = 50) ?(cut_max_age = 8)
-    ?(separators = Separator.default) ?(heuristics = true) ?parallelism
-    ?pricing ?lu_kernel ?trace ?(bb = Branch_bound.default_options) () =
-  (* explicit [?parallelism] / [?pricing] / [?lu_kernel] / [?trace]
-     override whatever [bb] carries *)
-  let parallelism =
-    match parallelism with
-    | Some j -> j
-    | None -> bb.Branch_bound.parallelism
-  in
-  let pricing =
-    match pricing with Some pr -> pr | None -> bb.Branch_bound.pricing
-  in
-  let lu_kernel =
-    match lu_kernel with Some k -> k | None -> bb.Branch_bound.lu_kernel
-  in
-  let trace =
-    match trace with Some tr -> tr | None -> bb.Branch_bound.trace
-  in
-  {
-    presolve;
-    cuts;
-    cut_rounds;
-    max_cuts_per_round;
-    cut_max_age;
-    separators;
-    heuristics;
-    parallelism;
-    pricing;
-    lu_kernel;
-    trace;
-    bb;
-  }
-
-let quick_options ?time_limit ?parallelism ?pricing ?lu_kernel ?trace () =
-  options ?parallelism ?pricing ?lu_kernel ?trace
-    ~bb:(Branch_bound.options ?time_limit ())
-    ()
-
-(* PR 4's root behavior — knapsack covers only, no node separation, no
-   diving, no aging — as a degenerate configuration of the new stack.
-   The pool's scoring and ordering reproduce the historical cut loop
-   pivot for pivot; benchmark A/B cells use this as the baseline arm. *)
-let baseline_options ?time_limit ?parallelism ?pricing ?lu_kernel ?trace () =
-  options ?parallelism ?pricing ?lu_kernel ?trace ~separators:Separator.cover_only
-    ~cut_max_age:max_int ~heuristics:false
-    ~bb:(Branch_bound.options ?time_limit ~node_cut_depth:0 ())
-    ()
+(* The historical root behavior — knapsack covers only, no node
+   separation, no diving, no aging — as a degenerate configuration of
+   the new stack. The pool's scoring and ordering reproduce the
+   historical cut loop pivot for pivot; benchmark A/B cells use this as
+   the baseline arm. *)
+let baseline_options ?time_limit ?parallelism ?pricing ?lu_kernel () =
+  Config.make ?time_limit ?parallelism ?pricing ?lu_kernel
+    ~separators:[ Separator.name Separator.cover ]
+    ~cut_max_age:max_int ~heuristics:false ~node_cut_depth:0 ()
 
 type stats = {
   presolved_from : int * int;
@@ -321,15 +253,12 @@ let empty_stats before =
     warm_applied = [];
   }
 
-let solve ?(options = default_options) ?warm p =
-  let snk = Mm_obs.Trace.root options.trace in
+let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?warm p
+    =
+  let snk = Mm_obs.Trace.root trace in
   Mm_obs.Trace.span snk "solve" @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  let deadline =
-    Option.map
-      (fun tl -> t0 +. tl)
-      options.bb.Branch_bound.time_limit
-  in
+  let deadline = Option.map (fun tl -> t0 +. tl) options.Config.time_limit in
   let before = (p.Problem.ncols, p.Problem.nrows) in
   let warm_applied = ref [] in
   let apply_warm name =
@@ -373,15 +302,7 @@ let solve ?(options = default_options) ?warm p =
           options.cuts && options.separators <> []
           && Problem.num_integer q > 0
         then begin
-          let pool =
-            Cut_pool.create
-              ~options:
-                (Cut_pool.options ~rounds:options.cut_rounds
-                   ~max_per_round:options.max_cuts_per_round
-                   ~max_age:options.cut_max_age
-                   ~separators:options.separators ())
-              q
-          in
+          let pool = Cut_pool.create ~options q in
           let basis =
             match warm with
             | Some w
@@ -393,8 +314,7 @@ let solve ?(options = default_options) ?warm p =
           in
           let q', cs =
             Mm_obs.Trace.span snk "cuts" (fun () ->
-                Cut_pool.root_loop ?basis ?deadline ~pricing:options.pricing
-                  ~lu_kernel:options.lu_kernel ~snk pool)
+                Cut_pool.root_loop ?basis ?deadline ~snk pool)
           in
           (match (warm, cs.Cut_pool.root_basis) with
           | Some w, Some b ->
@@ -428,20 +348,11 @@ let solve ?(options = default_options) ?warm p =
          bound: hand the tree search only the true remainder (possibly
          zero, in which case it reports a clean limit status immediately) *)
       let bb_options =
-        let bb =
-          {
-            options.bb with
-            Branch_bound.parallelism = options.parallelism;
-            pricing = options.pricing;
-            lu_kernel = options.lu_kernel;
-            trace = options.trace;
-          }
-        in
-        match bb.Branch_bound.time_limit with
-        | None -> bb
+        match options.time_limit with
+        | None -> options
         | Some tl ->
             let spent = Unix.gettimeofday () -. t0 in
-            { bb with Branch_bound.time_limit = Some (Float.max 0.0 (tl -. spent)) }
+            { options with time_limit = Some (Float.max 0.0 (tl -. spent)) }
       in
       let warm_pc =
         match warm with
@@ -452,7 +363,7 @@ let solve ?(options = default_options) ?warm p =
       in
       let r =
         Mm_obs.Trace.span snk "bb" (fun () ->
-            Branch_bound.solve ~options:bb_options ?cuts:pool
+            Branch_bound.solve ~trace ~options:bb_options ?cuts:pool
               ?initial:heur.Heuristics.incumbent ?warm_pc q)
       in
       (match warm with
@@ -504,4 +415,5 @@ let solve ?(options = default_options) ?warm p =
           };
       }
 
-let solve_model ?options ?warm m = solve ?options ?warm (Model.to_problem m)
+let solve_model ?trace ?options ?warm m =
+  solve ?trace ?options ?warm (Model.to_problem m)

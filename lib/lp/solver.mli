@@ -3,86 +3,22 @@
     heuristics, then branch-and-bound with node-level re-separation.
     This is the entry point the memory mapper uses. *)
 
-type options = {
-  presolve : bool;  (** default true *)
-  cuts : bool;  (** master switch for all cutting planes, default true *)
-  cut_rounds : int;  (** root separation rounds, default 3 *)
-  max_cuts_per_round : int;  (** default 50 *)
-  cut_max_age : int;
-      (** root-loop activity aging threshold (see {!Cut_pool.options}),
-          default 8; [max_int] disables aging *)
-  separators : Separator.t list;
-      (** cut families to run, default {!Separator.default} (knapsack
-          covers, sequence-lifted covers, Gomory mixed-integer) *)
-  heuristics : bool;
-      (** GUB diving/rounding incumbent before the tree, default true *)
-  parallelism : int;
-      (** worker domains for the branch-and-bound tree search, default 1
-          (deterministic serial schedule); overrides [bb.parallelism] *)
-  pricing : Simplex.pricing;
-      (** simplex pricing strategy for the root cut loop and every
-          branch-and-bound workspace, default {!Simplex.Devex};
-          overrides [bb.pricing] *)
-  lu_kernel : Lu.kernel;
-      (** triangular-solve kernel for every simplex workspace (root cut
-          loop, heuristics, branch-and-bound), default {!Lu.Auto}
-          (hypersparse on large bases with automatic dense fallback);
-          {!Lu.Sparse}/{!Lu.Dense} force one path, for A/B runs;
-          overrides [bb.lu_kernel] *)
-  trace : Mm_obs.Trace.t;
-      (** structured tracing (default disabled): the facade records
-          presolve/cuts/heuristic/bb/solve phase spans and cut counters
-          on the trace's root sink and hands the trace down to
-          {!Branch_bound}; overrides [bb.trace] *)
-  bb : Branch_bound.options;
-      (** node-cut gating ([node_cut_depth], [node_cut_freq]) rides
-          here *)
-}
-
-val default_options : options
-
-val options :
-  ?presolve:bool ->
-  ?cuts:bool ->
-  ?cut_rounds:int ->
-  ?max_cuts_per_round:int ->
-  ?cut_max_age:int ->
-  ?separators:Separator.t list ->
-  ?heuristics:bool ->
-  ?parallelism:int ->
-  ?pricing:Simplex.pricing ->
-  ?lu_kernel:Lu.kernel ->
-  ?trace:Mm_obs.Trace.t ->
-  ?bb:Branch_bound.options ->
-  unit ->
-  options
-(** Builder for {!options}; prefer this over record literals so future
-    fields stay non-breaking. When [?parallelism], [?pricing],
-    [?lu_kernel] or [?trace] is omitted it is taken from [bb]
-    (defaults: 1, Devex, {!Lu.Auto}, disabled). *)
-
-val quick_options :
-  ?time_limit:float ->
-  ?parallelism:int ->
-  ?pricing:Simplex.pricing ->
-  ?lu_kernel:Lu.kernel ->
-  ?trace:Mm_obs.Trace.t ->
-  unit ->
-  options
-(** Options with a wall-clock limit, for benchmark harnesses. *)
+val quick_options : ?time_limit:float -> ?parallelism:int -> unit -> Config.t
+(** {!Config.default} with a wall-clock limit, for benchmark
+    harnesses. *)
 
 val baseline_options :
   ?time_limit:float ->
   ?parallelism:int ->
   ?pricing:Simplex.pricing ->
   ?lu_kernel:Lu.kernel ->
-  ?trace:Mm_obs.Trace.t ->
   unit ->
-  options
+  Config.t
 (** The pre-pool root behavior as a degenerate configuration: knapsack
     cover cuts only, no aging, no node separation, no heuristics —
     reproduces the historical cut loop pivot for pivot. Benchmark A/B
-    cells use this as the baseline arm. *)
+    cells, two fuzz arms and the CI [cuts-smoke] leg use this as the
+    baseline. *)
 
 type stats = {
   presolved_from : int * int;  (** columns, rows before presolve *)
@@ -155,13 +91,20 @@ val warm_of_json : Mm_obs.Json.t -> (warm, string) Stdlib.result
     surfaces as [Error] (the caller degrades to a cold start) rather
     than undefined solver behavior. *)
 
-val solve : ?options:options -> ?warm:warm -> Problem.t -> result
-(** Solves to proven optimality unless limits are set. The solution in
+val solve :
+  ?trace:Mm_obs.Trace.t -> ?options:Config.t -> ?warm:warm -> Problem.t -> result
+(** Solves under [options] (default {!Config.default}) to proven
+    optimality unless limits are set; [time_limit] covers presolve,
+    cuts, heuristics and the tree together. [?trace] (default disabled)
+    gets presolve/cuts/heuristic/bb/solve phase spans and cut counters
+    on its root sink and is handed down to {!Branch_bound.solve}. The
+    solution in
     [mip.solution] is expressed in the {e original} variable space
     (presolve recovery already applied). [?warm] consumes and re-trains
     warm-start state (see above); [stats.warm_applied] records which
     components were actually used. Warm-started runs may visit a
     different node order than cold runs (same proven objective). *)
 
-val solve_model : ?options:options -> ?warm:warm -> Model.t -> result
+val solve_model :
+  ?trace:Mm_obs.Trace.t -> ?options:Config.t -> ?warm:warm -> Model.t -> result
 (** [solve_model m] freezes and solves the model. *)

@@ -58,7 +58,7 @@ val solve :
   ?weights:Cost.weights ->
   ?access_model:Cost.access_model ->
   ?port_model:Preprocess.port_model ->
-  ?solver_options:Mm_lp.Solver.options ->
+  ?solver_options:Mm_lp.Config.t ->
   ?disaggregated_linking:bool ->
   Mm_arch.Board.t ->
   Mm_design.Design.t ->

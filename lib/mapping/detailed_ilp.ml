@@ -2,19 +2,19 @@ open Mm_lp
 open Mm_util
 
 type options = {
-  solver_options : Solver.options;
+  solver_options : Config.t;
   symmetry_breaking : bool;
   port_model : Preprocess.port_model;
 }
 
 let default_options =
   {
-    solver_options = Solver.default_options;
+    solver_options = Config.default;
     symmetry_breaking = true;
     port_model = Preprocess.Fig3;
   }
 
-let options ?(solver_options = Solver.default_options)
+let options ?(solver_options = Config.default)
     ?(symmetry_breaking = true) ?(port_model = Preprocess.Fig3) () =
   { solver_options; symmetry_breaking; port_model }
 
@@ -158,7 +158,7 @@ module F = struct
         end
 end
 
-let run ?(options = default_options) (board : Mm_arch.Board.t)
+let run ?trace ?(options = default_options) (board : Mm_arch.Board.t)
     (design : Mm_design.Design.t) (assignment : Global_ilp.assignment) =
   let m = Mm_design.Design.num_segments design in
   if Array.length assignment <> m then
@@ -181,7 +181,7 @@ let run ?(options = default_options) (board : Mm_arch.Board.t)
       match
         Formulation.solve
           (module F)
-          ~solver_options:options.solver_options c
+          ?trace ~solver_options:options.solver_options c
       with
       | Ok (placements, _stats) ->
           all_placements := List.rev_append placements !all_placements

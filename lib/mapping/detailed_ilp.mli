@@ -12,7 +12,7 @@
     whose overlap support is strictly more permissive. *)
 
 type options = {
-  solver_options : Mm_lp.Solver.options;
+  solver_options : Mm_lp.Config.t;
   symmetry_breaking : bool;  (** order used-instance variables; default true *)
   port_model : Preprocess.port_model;  (** default [Fig3] *)
 }
@@ -20,7 +20,7 @@ type options = {
 val default_options : options
 
 val options :
-  ?solver_options:Mm_lp.Solver.options ->
+  ?solver_options:Mm_lp.Config.t ->
   ?symmetry_breaking:bool ->
   ?port_model:Preprocess.port_model ->
   unit ->
@@ -35,6 +35,7 @@ module F : Formulation.S with type solution = Detailed.placement list
     the placement list for that type's instances only. *)
 
 val run :
+  ?trace:Mm_obs.Trace.t ->
   ?options:options ->
   Mm_arch.Board.t ->
   Mm_design.Design.t ->
@@ -42,4 +43,5 @@ val run :
   (Detailed.t, Detailed.failure) result
 (** Solves one placement ILP per bank type ({!F} under the hood) and
     assembles placements (offsets and ports assigned per instance in
-    decreasing fragment order, as in the greedy placer). *)
+    decreasing fragment order, as in the greedy placer). [?trace] is
+    handed to every placement ILP solve. *)

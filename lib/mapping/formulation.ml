@@ -52,9 +52,9 @@ type stats = {
 
 type error = Build_failed of string | Ilp_infeasible | Ilp_limit
 
-let solve_built ?solver_options ?warm ~build_seconds problem read =
+let solve_built ?trace ?solver_options ?warm ~build_seconds problem read =
   let t1 = Unix.gettimeofday () in
-  let result = Solver.solve ?options:solver_options ?warm problem in
+  let result = Solver.solve ?trace ?options:solver_options ?warm problem in
   let solve_seconds = Unix.gettimeofday () -. t1 in
   let stats = { ilp = result; build_seconds; solve_seconds } in
   match result.Solver.mip.Branch_bound.solution with
@@ -64,12 +64,12 @@ let solve_built ?solver_options ?warm ~build_seconds problem read =
       | Branch_bound.Infeasible -> Error (Ilp_infeasible, Some stats)
       | _ -> Error (Ilp_limit, Some stats))
 
-let solve (type s) (fm : s t) ?solver_options ?warm c =
+let solve (type s) (fm : s t) ?trace ?solver_options ?warm c =
   let module F = (val fm : S with type solution = s) in
   let t0 = Unix.gettimeofday () in
   match F.build c with
   | Error msg -> Error (Build_failed msg, None)
   | Ok (problem, read) ->
-      solve_built ?solver_options ?warm
+      solve_built ?trace ?solver_options ?warm
         ~build_seconds:(Unix.gettimeofday () -. t0)
         problem read

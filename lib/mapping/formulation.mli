@@ -76,20 +76,23 @@ type error =
   | Ilp_limit  (** solver hit a limit before an incumbent *)
 
 val solve_built :
-  ?solver_options:Mm_lp.Solver.options ->
+  ?trace:Mm_obs.Trace.t ->
+  ?solver_options:Mm_lp.Config.t ->
   ?warm:Mm_lp.Solver.warm ->
   build_seconds:float ->
   Mm_lp.Problem.t ->
   (float array -> 's) ->
   ('s * stats, error * stats option) result
-(** The shared solve-and-decode tail: run the MIP solver, time it, and
-    either decode the incumbent or classify the failure. Exposed for
+(** The shared solve-and-decode tail: run the MIP solver (under
+    [?solver_options], recording on [?trace]), time it, and either
+    decode the incumbent or classify the failure. Exposed for
     callers that need the raw build artifacts (e.g. {!Complete_ilp}
     reporting its variable counts) yet want the common glue. *)
 
 val solve :
   's t ->
-  ?solver_options:Mm_lp.Solver.options ->
+  ?trace:Mm_obs.Trace.t ->
+  ?solver_options:Mm_lp.Config.t ->
   ?warm:Mm_lp.Solver.warm ->
   ctx ->
   ('s * stats, error * stats option) result

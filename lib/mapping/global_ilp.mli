@@ -60,7 +60,7 @@ val solve :
   ?access_model:Cost.access_model ->
   ?port_model:Preprocess.port_model ->
   ?arbitration:bool ->
-  ?solver_options:Mm_lp.Solver.options ->
+  ?solver_options:Mm_lp.Config.t ->
   ?forbidden:assignment list ->
   Mm_arch.Board.t ->
   Mm_design.Design.t ->

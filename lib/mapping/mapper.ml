@@ -6,7 +6,7 @@ type options = {
   access_model : Cost.access_model;
   port_model : Preprocess.port_model;
   arbitration : bool;
-  solver_options : Mm_lp.Solver.options;
+  solver_options : Mm_lp.Config.t;
   max_retries : int;
   allow_overlap : bool;
   detailed : detailed_engine;
@@ -19,47 +19,22 @@ let default_options =
     access_model = Cost.Uniform;
     port_model = Preprocess.Fig3;
     arbitration = false;
-    solver_options = Mm_lp.Solver.default_options;
+    solver_options = Mm_lp.Config.default;
     max_retries = 5;
     allow_overlap = true;
     detailed = Greedy;
     trace = Mm_obs.Trace.disabled;
   }
 
-let options ?(weights = Cost.default_weights) ?(access_model = Cost.Uniform)
-    ?(port_model = Preprocess.Fig3) ?(arbitration = false)
-    ?(solver_options = Mm_lp.Solver.default_options) ?parallelism ?pricing
-    ?cuts ?heuristics ?trace ?(max_retries = 5) ?(allow_overlap = true)
-    ?(detailed = Greedy) () =
-  let solver_options =
-    match parallelism with
-    | None -> solver_options
-    | Some j -> { solver_options with Mm_lp.Solver.parallelism = j }
-  in
-  let solver_options =
-    match pricing with
-    | None -> solver_options
-    | Some pr -> { solver_options with Mm_lp.Solver.pricing = pr }
-  in
-  let solver_options =
-    match cuts with
-    | None -> solver_options
-    | Some b -> { solver_options with Mm_lp.Solver.cuts = b }
-  in
-  let solver_options =
-    match heuristics with
-    | None -> solver_options
-    | Some b -> { solver_options with Mm_lp.Solver.heuristics = b }
-  in
-  (* the mapper and the ILP solver share one trace so every event lands
-     in a single file; [?trace] overrides whatever [solver_options]
-     carries *)
-  let trace =
-    match trace with
-    | Some tr -> tr
-    | None -> solver_options.Mm_lp.Solver.trace
-  in
-  let solver_options = { solver_options with Mm_lp.Solver.trace = trace } in
+let options ?(weights = default_options.weights)
+    ?(access_model = default_options.access_model)
+    ?(port_model = default_options.port_model)
+    ?(arbitration = default_options.arbitration)
+    ?(solver_options = default_options.solver_options)
+    ?(trace = default_options.trace)
+    ?(max_retries = default_options.max_retries)
+    ?(allow_overlap = default_options.allow_overlap)
+    ?(detailed = default_options.detailed) () =
   {
     weights;
     access_model;
@@ -117,7 +92,7 @@ let run_detailed options board design assignment =
         ~trace:(Mm_obs.Trace.root options.trace) board design assignment
   | Ilp -> (
       match
-        Detailed_ilp.run
+        Detailed_ilp.run ~trace:options.trace
           ~options:
             (Detailed_ilp.options ~solver_options:options.solver_options
                ~port_model:options.port_model ())
@@ -188,8 +163,8 @@ let run ?(method_ = Global_detailed) ?(options = default_options) ?warm board
       let warm = if retries = 0 then warm else None in
       match
         Mm_obs.Trace.span snk "ilp" (fun () ->
-            Formulation.solve fm ~solver_options:options.solver_options ?warm
-              ctx)
+            Formulation.solve fm ~trace:options.trace
+              ~solver_options:options.solver_options ?warm ctx)
       with
       | Error (Formulation.Build_failed msg, _) -> Error (Unmappable msg)
       | Error (Formulation.Ilp_infeasible, _) ->

@@ -212,28 +212,6 @@ let lp_core_summary (r : Mm_lp.Solver.result) =
         par.Mm_lp.Branch_bound.nodes_stolen
         par.Mm_lp.Branch_bound.idle_seconds
 
-(* One-line echo of the MIP configuration a solve ran under, so a report
-   is self-describing when flags flip cut families or heuristics. *)
-let solver_config (o : Mm_lp.Solver.options) =
-  let seps =
-    if not o.Mm_lp.Solver.cuts then "off"
-    else if o.Mm_lp.Solver.separators = [] then "none"
-    else
-      String.concat "+" (List.map Mm_lp.Separator.name o.Mm_lp.Solver.separators)
-  in
-  Printf.sprintf
-    "Solver config: cuts=%s rounds=%d max/round=%d max-age=%s node-depth=%d \
-     node-freq=%d heuristics=%s pricing=%s lu-kernel=%s parallelism=%d"
-    seps o.Mm_lp.Solver.cut_rounds o.Mm_lp.Solver.max_cuts_per_round
-    (if o.Mm_lp.Solver.cut_max_age = max_int then "inf"
-     else string_of_int o.Mm_lp.Solver.cut_max_age)
-    o.Mm_lp.Solver.bb.Mm_lp.Branch_bound.node_cut_depth
-    o.Mm_lp.Solver.bb.Mm_lp.Branch_bound.node_cut_freq
-    (if o.Mm_lp.Solver.heuristics then "on" else "off")
-    (Mm_lp.Simplex.pricing_to_string o.Mm_lp.Solver.pricing)
-    (Mm_lp.Lu.kernel_to_string o.Mm_lp.Solver.lu_kernel)
-    o.Mm_lp.Solver.parallelism
-
 let outcome board design (o : Mapper.outcome) =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf

@@ -33,11 +33,6 @@ val lp_core_summary : Mm_lp.Solver.result -> string
     pivots, refactorizations, eta/fill/basis gauges, LP time, the
     cuts-by-family breakdown and where the incumbent came from. *)
 
-val solver_config : Mm_lp.Solver.options -> string
-(** One-line echo of the MIP configuration (cut families, rounds,
-    aging, node-cut gating, heuristics, pricing, parallelism) so a
-    report is self-describing under CLI flag changes. *)
-
 val outcome : Mm_arch.Board.t -> Mm_design.Design.t -> Mapper.outcome -> string
 (** Full report: summary, costs, placements, timing, LP-core stats. *)
 

@@ -86,7 +86,8 @@ let release t (l : lease) =
 
 (* ---- cross-process persistence ---------------------------------------- *)
 
-let file_version = 1
+(* 2: keys use the full [Mm_lp.Config] fingerprint *)
+let file_version = 2
 
 let save t path =
   let module J = Mm_obs.Json in

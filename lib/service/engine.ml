@@ -8,9 +8,14 @@ type batch_counters = {
   bmu : Mutex.t;
 }
 
-type t = { cache : Cache.t; default_knobs : Knobs.t; batch : batch_counters }
+type t = {
+  cache : Cache.t;
+  default_knobs : Mm_lp.Config.t;
+  batch : batch_counters;
+}
 
-let create ?(cache_capacity = 64) ?(default_knobs = Knobs.default) () =
+let create ?(cache_capacity = 64) ?(default_knobs = Mm_lp.Config.default) ()
+    =
   {
     cache = Cache.create ~capacity:cache_capacity;
     default_knobs;
@@ -82,9 +87,7 @@ let solve_leased (lease : Cache.lease) ~cache_hit (req : Request.t) =
      per-solve and the service records request-level spans itself, so
      worker domains never share the trace's root sink *)
   let options =
-    Mm_mapping.Mapper.options
-      ~solver_options:(Knobs.to_solver_options req.Request.knobs)
-      ()
+    Mm_mapping.Mapper.options ~solver_options:req.Request.knobs ()
   in
   let result =
     try

@@ -7,7 +7,8 @@
 
 type t
 
-val create : ?cache_capacity:int -> ?default_knobs:Knobs.t -> unit -> t
+val create :
+  ?cache_capacity:int -> ?default_knobs:Mm_lp.Config.t -> unit -> t
 (** Default capacity 64 boards; [0] disables warm-start caching.
     [?default_knobs] backs requests that carry no [knobs] field. *)
 

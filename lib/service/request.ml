@@ -5,11 +5,11 @@ type t = {
   method_ : Mm_mapping.Mapper.method_;
   board : Mm_arch.Board.t;
   design : Mm_design.Design.t;
-  knobs : Knobs.t;
+  knobs : Mm_lp.Config.t;
 }
 
 let make ?(id = "") ?(method_ = Mm_mapping.Mapper.Global_detailed)
-    ?(knobs = Knobs.default) board design =
+    ?(knobs = Mm_lp.Config.default) board design =
   { id; method_; board; design; knobs }
 
 let method_to_string = function
@@ -32,10 +32,10 @@ let to_json r =
       ("method", J.Str (method_to_string r.method_));
       ("board", J.Str (Mm_io.Board_file.to_string r.board));
       ("design", J.Str (Mm_io.Design_file.to_string r.design));
-      ("knobs", Knobs.to_json r.knobs);
+      ("knobs", Mm_lp.Config.to_json r.knobs);
     ]
 
-let of_json ?(default = Knobs.default) j =
+let of_json ?(default = Mm_lp.Config.default) j =
   let ( let* ) = Result.bind in
   let str f =
     match Option.bind (J.member f j) J.to_str with
@@ -70,7 +70,10 @@ let of_json ?(default = Knobs.default) j =
   let* knobs =
     match J.member "knobs" j with
     | None | Some J.Null -> Ok default
-    | Some k -> Result.map_error (fun e -> "request: " ^ e) (Knobs.of_json k)
+    | Some k ->
+        Result.map_error
+          (fun e -> "request: knobs: " ^ e)
+          (Mm_lp.Config.of_json k)
   in
   Ok { id; method_; board; design; knobs }
 
@@ -82,7 +85,7 @@ let fingerprint r =
             method_to_string r.method_;
             Mm_io.Board_file.to_string r.board;
             Mm_io.Design_file.to_string r.design;
-            Knobs.fingerprint_string r.knobs;
+            Mm_lp.Config.fingerprint_string r.knobs;
           ]))
 
 (* The coalescing key deliberately drops the design: queued requests
@@ -97,7 +100,7 @@ let batch_key r =
           [
             method_to_string r.method_;
             Mm_io.Board_file.to_string r.board;
-            Knobs.fingerprint_string r.knobs;
+            Mm_lp.Config.fingerprint_string r.knobs;
           ]))
 
 (* ---- responses -------------------------------------------------------- *)

@@ -11,7 +11,9 @@
     [board]/[design] are the text formats of {!Mm_io.Board_file} /
     {!Mm_io.Design_file} carried inline as JSON strings; [id] is echoed
     in the response (responses may arrive out of submission order);
-    [method] defaults to ["global"], [knobs] to {!Knobs.default}.
+    [method] defaults to ["global"]; [knobs] is decoded by
+    {!Mm_lp.Config.of_json} (its fields are the solver configuration's,
+    absent ones take {!Mm_lp.Config.default}'s values).
 
     A response is either
     {v
@@ -29,13 +31,13 @@ type t = {
   method_ : Mm_mapping.Mapper.method_;
   board : Mm_arch.Board.t;
   design : Mm_design.Design.t;
-  knobs : Knobs.t;
+  knobs : Mm_lp.Config.t;
 }
 
 val make :
   ?id:string ->
   ?method_:Mm_mapping.Mapper.method_ ->
-  ?knobs:Knobs.t ->
+  ?knobs:Mm_lp.Config.t ->
   Mm_arch.Board.t ->
   Mm_design.Design.t ->
   t
@@ -48,18 +50,19 @@ val to_json : t -> Mm_obs.Json.t
     [of_json (to_json r)] round-trips and equal mapping problems get
     equal JSON regardless of input formatting. *)
 
-val of_json : ?default:Knobs.t -> Mm_obs.Json.t -> (t, string) result
-(** [?default] (default {!Knobs.default}) fills in for an absent
+val of_json : ?default:Mm_lp.Config.t -> Mm_obs.Json.t -> (t, string) result
+(** [?default] (default {!Mm_lp.Config.default}) fills in for an absent
     [knobs] field — the daemon passes its command-line solver flags
     here, so per-request knobs override the daemon's but omitting them
-    inherits the daemon's configuration. *)
+    inherits the daemon's configuration. An invalid [knobs] object is an
+    [Error] prefixed ["request: knobs: "]. *)
 
 val fingerprint : t -> string
 (** Warm-cache key: a digest over the canonical board and design
     texts, the method and the ILP-shaping knobs
-    ({!Knobs.fingerprint_string} — time limits excluded). Two requests
-    share a key iff a warm state trained on one is valid for the
-    other. *)
+    ({!Mm_lp.Config.fingerprint_string} — time limits excluded). Two
+    requests share a key iff a warm state trained on one is valid for
+    the other. *)
 
 val batch_key : t -> string
 (** Coalescing key: like {!fingerprint} but without the design — a

@@ -10,7 +10,7 @@ type options = {
   workers : int;
   queue_capacity : int;
   cache_capacity : int;
-  default_knobs : Knobs.t;
+  default_knobs : Mm_lp.Config.t;
   trace : Trace.t;
   max_batch : int;
   batch_linger_ms : float;
@@ -18,8 +18,8 @@ type options = {
 }
 
 let options ?(workers = 2) ?(queue_capacity = 16) ?(cache_capacity = 64)
-    ?(default_knobs = Knobs.default) ?(trace = Trace.disabled) ?(max_batch = 1)
-    ?(batch_linger_ms = 0.) ?cache_file socket_path =
+    ?(default_knobs = Mm_lp.Config.default) ?(trace = Trace.disabled)
+    ?(max_batch = 1) ?(batch_linger_ms = 0.) ?cache_file socket_path =
   {
     socket_path;
     workers;

@@ -43,7 +43,7 @@ type options = {
       (** pending-request bound, default 16; [0] rejects every request
           that reaches the queue (useful to test backpressure) *)
   cache_capacity : int;  (** warm-cache boards retained, default 64 *)
-  default_knobs : Knobs.t;
+  default_knobs : Mm_lp.Config.t;
       (** solver knobs for requests that carry no [knobs] field — the
           daemon's command-line flags *)
   trace : Mm_obs.Trace.t;
@@ -66,7 +66,7 @@ val options :
   ?workers:int ->
   ?queue_capacity:int ->
   ?cache_capacity:int ->
-  ?default_knobs:Knobs.t ->
+  ?default_knobs:Mm_lp.Config.t ->
   ?trace:Mm_obs.Trace.t ->
   ?max_batch:int ->
   ?batch_linger_ms:float ->

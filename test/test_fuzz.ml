@@ -149,17 +149,19 @@ let test_mini_campaign_clean () =
     (List.map Differential.failure_to_string o.Campaign.failures);
   Alcotest.(check bool) "solves counted" true (o.Campaign.solves >= 30)
 
+let kernel (a : Arm.t) = a.Arm.config.Mm_lp.Config.lu_kernel
+
 let test_matrix_spans_lu_kernels () =
   (* the forced-kernel arms are the differential guard on the
      hypersparse code: fuzz instances sit below the Auto floor, so the
      forced-Sparse arms are what exercises the hypersparse path, and
      the forced-Dense arms (serial and warm) pin the baseline *)
   let dense =
-    List.filter (fun (a : Arm.t) -> a.Arm.lu_kernel = Mm_lp.Lu.Dense) Arm.matrix
+    List.filter (fun (a : Arm.t) -> kernel a = Mm_lp.Lu.Dense) Arm.matrix
   in
   let sparse =
     List.filter
-      (fun (a : Arm.t) -> a.Arm.lu_kernel = Mm_lp.Lu.Sparse)
+      (fun (a : Arm.t) -> kernel a = Mm_lp.Lu.Sparse)
       Arm.matrix
   in
   Alcotest.(check bool) "at least 2 dense-kernel arms" true
@@ -167,19 +169,11 @@ let test_matrix_spans_lu_kernels () =
   Alcotest.(check bool) "at least 2 sparse-kernel arms" true
     (List.length sparse >= 2);
   Alcotest.(check bool) "a parallel sparse arm" true
-    (List.exists (fun (a : Arm.t) -> a.Arm.parallelism > 1) sparse);
+    (List.exists (fun (a : Arm.t) -> a.Arm.config.Mm_lp.Config.parallelism > 1) sparse);
   Alcotest.(check bool) "a warm dense arm" true
     (List.exists (fun (a : Arm.t) -> a.Arm.warm) dense);
   Alcotest.(check bool) "reference uses the production default" true
-    (Arm.reference.Arm.lu_kernel = Mm_lp.Lu.Auto);
-  List.iter
-    (fun (a : Arm.t) ->
-      let o = Arm.solver_options a in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s options carry its kernel" a.Arm.name)
-        true
-        (o.Mm_lp.Solver.lu_kernel = a.Arm.lu_kernel))
-    (Arm.reference :: Arm.matrix)
+    (kernel Arm.reference = Mm_lp.Lu.Auto)
 
 (* reference vs the serial forced-kernel arms on random small MIPs:
    forced-Sparse (hypersparse even below the Auto floor) and
@@ -203,7 +197,7 @@ let prop_dense_lu_arm_agrees =
       let forced_arms =
         List.filter
           (fun (a : Arm.t) ->
-            a.Arm.lu_kernel <> Mm_lp.Lu.Auto && a.Arm.parallelism = 1)
+            kernel a <> Mm_lp.Lu.Auto && a.Arm.config.Mm_lp.Config.parallelism = 1)
           Arm.matrix
       in
       match Differential.run_case ~time_limit:30.0 ~arms:forced_arms c with

@@ -707,7 +707,7 @@ let test_bb_respects_node_limit () =
     8.0;
   Model.set_objective m Model.Minimize Expr.zero;
   let p = Model.to_problem m in
-  let options = Branch_bound.options ~node_limit:1 () in
+  let options = Config.make ~node_limit:1 () in
   let r = Branch_bound.solve ~options p in
   Alcotest.(check bool) "nodes within limit" true (r.Branch_bound.nodes <= 1)
 
@@ -748,7 +748,7 @@ let prop_parallel_matches_serial =
     (fun params ->
       let p = build_random_bip params in
       let solve j =
-        Branch_bound.solve ~options:(Branch_bound.options ~parallelism:j ()) p
+        Branch_bound.solve ~options:(Config.make ~parallelism:j ()) p
       in
       let serial = solve 1 in
       List.for_all
@@ -762,10 +762,25 @@ let prop_parallel_matches_serial =
           | _ -> false)
         [ 2; 4 ])
 
+let test_spawn_failure_joins_helpers () =
+  (* more workers than the runtime can spawn: the failed solve must
+     stop and join the helpers it did spawn, so later multi-domain
+     solves still get their domains *)
+  let p = build_random_bip (8, 5, 4242) in
+  (match Branch_bound.solve ~options:(Config.make ~parallelism:200 ()) p with
+  | exception Failure _ -> ()
+  | _ -> (* a runtime allowing 200 domains simply solves it *) ());
+  let r = Branch_bound.solve ~options:(Config.make ~parallelism:2 ()) p in
+  Alcotest.(check int) "domains after the failure" 2
+    r.Branch_bound.par.Branch_bound.domains_used;
+  Alcotest.(check bool) "solved after the failure" true
+    (r.Branch_bound.status = Branch_bound.Optimal
+    || r.Branch_bound.status = Branch_bound.Infeasible)
+
 let test_parallel_one_is_deterministic () =
   let p = build_random_bip (8, 5, 4242) in
   let solve () =
-    Branch_bound.solve ~options:(Branch_bound.options ~parallelism:1 ()) p
+    Branch_bound.solve ~options:(Config.make ~parallelism:1 ()) p
   in
   let a = solve () and b = solve () in
   Alcotest.(check int) "same node count" a.Branch_bound.nodes b.Branch_bound.nodes;
@@ -795,7 +810,7 @@ let test_parallel_stats_accounting () =
   let p = Model.to_problem m in
   let serial = Branch_bound.solve p in
   let par =
-    Branch_bound.solve ~options:(Branch_bound.options ~parallelism:3 ()) p
+    Branch_bound.solve ~options:(Config.make ~parallelism:3 ()) p
   in
   Alcotest.(check int) "domains" 3 par.Branch_bound.par.Branch_bound.domains_used;
   Alcotest.(check int) "pivot breakdown sums"
@@ -865,7 +880,7 @@ let test_solver_time_limit_reported () =
   done;
   Model.set_objective m Model.Minimize
     (Expr.sum (Array.to_list (Array.map Expr.var vars)));
-  let options = Solver.options ~bb:(Branch_bound.options ~time_limit:0.2 ()) () in
+  let options = Config.make ~time_limit:0.2 () in
   let r = Solver.solve ~options (Model.to_problem m) in
   (* must terminate promptly and report a sane status *)
   Alcotest.(check bool) "terminates in budget" true (r.Solver.mip.Branch_bound.time < 5.0);
@@ -879,11 +894,11 @@ let test_solver_without_presolve_or_cuts () =
   let p = build_random_bip (6, 4, 12345) in
   let base = (Solver.solve p).Solver.mip.Branch_bound.objective in
   let no_pre =
-    (Solver.solve ~options:(Solver.options ~presolve:false ()) p)
+    (Solver.solve ~options:(Config.make ~presolve:false ()) p)
       .Solver.mip.Branch_bound.objective
   in
   let no_cuts =
-    (Solver.solve ~options:(Solver.options ~cuts:false ()) p)
+    (Solver.solve ~options:(Config.make ~cuts:false ()) p)
       .Solver.mip.Branch_bound.objective
   in
   let eq a b =
@@ -902,7 +917,7 @@ let test_time_limit_zero_budget () =
   let p = build_random_bip (8, 5, 31415) in
   List.iter
     (fun j ->
-      let options = Branch_bound.options ~parallelism:j ~time_limit:0.0 () in
+      let options = Config.make ~parallelism:j ~time_limit:0.0 () in
       let r = Branch_bound.solve ~options p in
       Alcotest.(check int) (Printf.sprintf "no nodes at j=%d" j) 0
         r.Branch_bound.nodes;
@@ -921,7 +936,7 @@ let test_trace_deterministic_serial () =
   let p = build_random_bip (8, 5, 777) in
   let run () =
     let tr = Mm_obs.Trace.create () in
-    ignore (Solver.solve ~options:(Solver.options ~trace:tr ()) p);
+    ignore (Solver.solve ~trace:tr p);
     match Mm_obs.Summary.of_lines (Mm_obs.Trace.dump_lines tr) with
     | Ok evs -> Mm_obs.Summary.normalized evs
     | Error e -> Alcotest.fail e
@@ -1156,7 +1171,7 @@ let prop_cuts_never_cut_integer_points =
           let cuts =
             List.concat_map
               (fun sep -> Separator.separate sep ctx)
-              Separator.default
+              (Config.separator_modules Config.default)
           in
           let n = p.Problem.ncols in
           let ok = ref true in
@@ -1185,14 +1200,14 @@ let prop_single_family_objective_agreement =
       List.for_all
         (fun sep ->
           let r =
-            (Solver.solve ~options:(Solver.options ~separators:[ sep ] ()) p)
+            (Solver.solve ~options:(Config.make ~separators:[ sep ] ()) p)
               .Solver.mip
           in
           match (r.Branch_bound.objective, oracle) with
           | None, None -> true
           | Some o, Some b -> Float.abs (o -. b) <= 1e-6
           | _ -> false)
-        Separator.default)
+        Config.default.separators)
 
 let knapsack_triple () =
   let m = Model.create () in
@@ -1237,10 +1252,10 @@ let test_cut_pool_aging_drops_loose_cuts () =
      the root loop must drop them all and hand back the base problem *)
   let p = knapsack_triple () in
   let pool =
-    Cut_pool.create ~options:(Cut_pool.options ~rounds:1 ~max_age:0 ()) p
+    Cut_pool.create ~options:(Config.make ~cut_rounds:1 ~cut_max_age:0 ()) p
   in
   let q, st =
-    Cut_pool.root_loop ~pricing:Simplex.Devex ~snk:Mm_obs.Trace.null pool
+    Cut_pool.root_loop ~snk:Mm_obs.Trace.null pool
   in
   Alcotest.(check bool) "root loop added cuts" true (st.Cut_pool.added > 0);
   Alcotest.(check int) "all dropped" st.Cut_pool.added st.Cut_pool.dropped;
@@ -1374,9 +1389,7 @@ let prop_node_cuts_preserve_optimum =
       List.for_all
         (fun j ->
           let options =
-            Solver.options ~parallelism:j
-              ~bb:(Branch_bound.options ~node_cut_depth:50 ~node_cut_freq:1 ())
-              ()
+            Config.make ~parallelism:j ~node_cut_depth:50 ~node_cut_freq:1 ()
           in
           let r = (Solver.solve ~options p).Solver.mip in
           match (r.Branch_bound.objective, oracle) with
@@ -1853,7 +1866,11 @@ let test_trajectory_table3 () =
         in
         List.iter
           (fun (name, method_) ->
-            let options = Mm_mapping.Mapper.options ~parallelism:1 () in
+            let options =
+              Mm_mapping.Mapper.options
+                ~solver_options:(Config.make ~parallelism:1 ())
+                ()
+            in
             match Mm_mapping.Mapper.run ~method_ ~options board design with
             | Ok o ->
                 check_pin (Printf.sprintf "p%d %s" i name)
@@ -1883,7 +1900,7 @@ let test_trajectory_corpus () =
       | Error e -> Alcotest.fail e
       | Ok p ->
           check_pin f
-            (Solver.solve ~options:(Solver.options ~parallelism:1 ()) p))
+            (Solver.solve ~options:(Config.make ~parallelism:1 ()) p))
     files
 
 (* Allocation budget of the simplex hot loops: minor words per pivot
@@ -1980,6 +1997,8 @@ let () =
           Alcotest.test_case "parallel stats" `Quick
             test_parallel_stats_accounting;
           Alcotest.test_case "time limit zero" `Quick test_time_limit_zero_budget;
+          Alcotest.test_case "spawn failure joins helpers" `Quick
+            test_spawn_failure_joins_helpers;
         ] );
       ( "trace",
         [

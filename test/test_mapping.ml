@@ -983,7 +983,12 @@ let prop_parallel_mapper_equivalent =
       | exception Invalid_argument _ -> QCheck.assume_fail ()
       | board, design ->
           let solve j =
-            match Mapper.run ~options:(Mapper.options ~parallelism:j ()) board design with
+            let options =
+              Mapper.options
+                ~solver_options:(Mm_lp.Config.make ~parallelism:j ())
+                ()
+            in
+            match Mapper.run ~options board design with
             | Ok o ->
                 `Mapped
                   ( o.Mapper.objective,

@@ -8,22 +8,46 @@ let qtest ?(count = 100) name gen prop =
 
 (* --- generators ------------------------------------------------------------ *)
 
+module Config = Mm_lp.Config
+
+(* every field of the configuration, over its whole valid range *)
 let knobs_gen =
   QCheck.Gen.(
-    let* parallelism = int_range 0 4 in
-    let* pricing = oneofl [ Mm_lp.Simplex.Devex; Mm_lp.Simplex.Dantzig ] in
+    let opt g = oneof [ return None; map Option.some g ] in
+    let* presolve = bool in
     let* cuts = bool in
     let* cut_rounds = int_range 0 5 in
-    let* max_cuts_per_round = int_range 1 100 in
-    let* heuristics = bool in
-    let* time_limit =
-      oneof [ return None; map (fun f -> Some f) (float_range 0.125 8.0) ]
+    let* max_cuts_per_round = int_range 0 100 in
+    let* cut_max_age = oneof [ int_range 0 20; return max_int ] in
+    let* separators =
+      map
+        (List.filter_map Fun.id)
+        (flatten_l
+           (List.map
+              (fun s -> map (fun keep -> if keep then Some s else None) bool)
+              Config.default.separators))
     in
+    let* heuristics = bool in
+    let* parallelism = int_range 0 Config.max_parallelism in
+    let* pricing = oneofl [ Mm_lp.Simplex.Devex; Mm_lp.Simplex.Dantzig ] in
+    let* lu_kernel =
+      oneofl [ Mm_lp.Lu.Auto; Mm_lp.Lu.Sparse; Mm_lp.Lu.Dense ]
+    in
+    let* time_limit = opt (float_range 0.125 8.0) in
+    let* node_limit = opt (int_range 0 1000) in
+    let* gap_tol = float_range 0.0 1e-3 in
+    let* int_tol = float_range 1e-9 1e-3 in
+    let* log_every = opt (int_range 1 1000) in
+    let* node_cut_depth = int_range 0 10 in
+    let* node_cut_freq = int_range 1 10 in
     return
-      (Knobs.make ~parallelism ~pricing ~cuts ~cut_rounds ~max_cuts_per_round
-         ~heuristics ?time_limit ()))
+      (Config.make ~presolve ~cuts ~cut_rounds ~max_cuts_per_round ~cut_max_age
+         ~separators ~heuristics ~parallelism ~pricing ~lu_kernel ?time_limit
+         ?node_limit ~gap_tol ~int_tol ?log_every ~node_cut_depth
+         ~node_cut_freq ()))
 
-let knobs_arb = QCheck.make ~print:(fun k -> J.to_string (Knobs.to_json k)) knobs_gen
+let knobs_arb =
+  QCheck.make ~print:(fun k -> J.to_string (Config.to_json k)) knobs_gen
 
 let instance_of_seed seed =
   let rng = Mm_util.Prng.create seed in
@@ -82,16 +106,129 @@ let response_arb =
 
 (* --- codec round-trips ------------------------------------------------------ *)
 
-let prop_knobs_roundtrip =
-  qtest "Knobs.of_json (to_json k) = Ok k" knobs_arb (fun k ->
-      match Knobs.of_json (Knobs.to_json k) with
+let prop_config_roundtrip =
+  qtest "Config.of_json (to_json c) = Ok c" knobs_arb (fun k ->
+      match Config.of_json (Config.to_json k) with
       | Ok k' -> k' = k
       | Error e -> QCheck.Test.fail_reportf "decode error: %s" e)
 
 let prop_knobs_fingerprint_ignores_time_limit =
   qtest "fingerprint_string drops the time limit" knobs_arb (fun k ->
-      let k' = { k with Knobs.time_limit = Some 42.0 } in
-      Knobs.fingerprint_string k = Knobs.fingerprint_string k')
+      let k' = { k with Config.time_limit = Some 42.0 } in
+      Config.fingerprint_string k = Config.fingerprint_string k')
+
+let test_fingerprint_covers_every_field () =
+  let d = Config.default in
+  (* the exhaustive pattern breaks this build when a field is added to
+     [Config.t], until the field is listed below *)
+  let {
+    Config.presolve;
+    cuts;
+    cut_rounds;
+    max_cuts_per_round;
+    cut_max_age;
+    separators;
+    heuristics;
+    parallelism;
+    pricing;
+    lu_kernel;
+    time_limit;
+    node_limit;
+    gap_tol;
+    int_tol;
+    log_every;
+    node_cut_depth;
+    node_cut_freq;
+  } =
+    d
+  in
+  let shaping =
+    [
+      ("presolve", { d with presolve = not presolve });
+      ("cuts", { d with cuts = not cuts });
+      ("cut_rounds", { d with cut_rounds = cut_rounds + 1 });
+      ( "max_cuts_per_round",
+        { d with max_cuts_per_round = max_cuts_per_round + 1 } );
+      ("cut_max_age", { d with cut_max_age = cut_max_age + 1 });
+      ("separators", { d with separators = List.tl separators });
+      ("heuristics", { d with heuristics = not heuristics });
+      ("parallelism", { d with parallelism = parallelism + 1 });
+      ( "pricing",
+        {
+          d with
+          pricing =
+            (if pricing = Mm_lp.Simplex.Devex then Mm_lp.Simplex.Dantzig
+             else Mm_lp.Simplex.Devex);
+        } );
+      ( "lu_kernel",
+        {
+          d with
+          lu_kernel =
+            (if lu_kernel = Mm_lp.Lu.Dense then Mm_lp.Lu.Sparse
+             else Mm_lp.Lu.Dense);
+        } );
+      ( "node_limit",
+        { d with node_limit = Some (Option.value node_limit ~default:0 + 1) }
+      );
+      ("gap_tol", { d with gap_tol = gap_tol *. 2.0 });
+      ("int_tol", { d with int_tol = int_tol *. 2.0 });
+      ("node_cut_depth", { d with node_cut_depth = node_cut_depth + 1 });
+      ("node_cut_freq", { d with node_cut_freq = node_cut_freq + 1 });
+    ]
+  in
+  let not_shaping =
+    [
+      ( "time_limit",
+        {
+          d with
+          time_limit = Some (Option.value time_limit ~default:1.0 +. 1.0);
+        } );
+      ( "log_every",
+        { d with log_every = Some (Option.value log_every ~default:0 + 1) } );
+    ]
+  in
+  let fp = Config.fingerprint_string in
+  List.iter
+    (fun (name, c) ->
+      Alcotest.(check bool)
+        (name ^ " moves the fingerprint")
+        true
+        (fp c <> fp d);
+      Alcotest.(check bool) (name ^ " survives the codec") true
+        (Config.of_json (Config.to_json c) = Ok c))
+    shaping;
+  List.iter
+    (fun (name, c) ->
+      Alcotest.(check string) (name ^ " keeps the fingerprint") (fp d) (fp c);
+      Alcotest.(check bool) (name ^ " survives the codec") true
+        (Config.of_json (Config.to_json c) = Ok c))
+    not_shaping
+
+let test_config_rejects_out_of_range () =
+  let decode fields = Config.of_json (J.Obj fields) in
+  List.iter
+    (fun (label, fields) ->
+      match decode fields with
+      | Ok _ -> Alcotest.failf "%s accepted" label
+      | Error _ -> ())
+    [
+      ("parallelism 300", [ ("parallelism", J.Num 300.) ]);
+      ("parallelism -1", [ ("parallelism", J.Num (-1.)) ]);
+      ("cut_rounds -1", [ ("cut_rounds", J.Num (-1.)) ]);
+      ("max_cuts_per_round -1", [ ("max_cuts_per_round", J.Num (-1.)) ]);
+      ("node_cut_freq 0", [ ("node_cut_freq", J.Num 0.) ]);
+      ("unknown separator", [ ("separators", J.List [ J.Str "zap" ]) ]);
+      ("time_limit 0", [ ("time_limit", J.Num 0.) ]);
+    ];
+  Alcotest.(check bool) "parallelism 64 accepted" true
+    (Result.is_ok (decode [ ("parallelism", J.Num 64.) ]));
+  (* the pre-existing wire errors keep their wording *)
+  Alcotest.(check (result reject string))
+    "pricing name" (Error "unknown pricing \"fast\"")
+    (Result.map ignore (decode [ ("pricing", J.Str "fast") ]));
+  Alcotest.(check (result reject string))
+    "non-integer rounds" (Error "bad cut_rounds field")
+    (Result.map ignore (decode [ ("cut_rounds", J.Str "3") ]))
 
 let prop_request_roundtrip =
   qtest ~count:40 "Request.of_json (to_json r) round-trips" request_arb
@@ -316,7 +453,7 @@ let test_engine_time_limit () =
       }
   in
   let engine = Engine.create () in
-  let knobs = Knobs.make ~time_limit:1e-9 ~heuristics:false () in
+  let knobs = Config.make ~time_limit:1e-9 ~heuristics:false () in
   let req = Request.make ~id:"t" ~knobs board design in
   match Engine.handle engine req with
   | Request.Error_response { code = Request.Solver_limit; _ } -> ()
@@ -328,6 +465,34 @@ let test_engine_time_limit () =
       (* tiny instances may still solve within the first time check;
          accept but require the report to exist *)
       ()
+
+let test_engine_survives_huge_parallelism () =
+  (* a parallelism beyond what the runtime can spawn is refused at
+     decode, and the engine keeps serving multi-domain requests *)
+  let board, design = small_instance () in
+  let engine = Engine.create () in
+  let send parallelism =
+    let req =
+      Request.make ~id:"p" ~knobs:(Config.make ~parallelism ()) board design
+    in
+    match
+      Result.bind
+        (J.of_string
+           (Engine.handle_line engine (J.to_string (Request.to_json req))))
+        Request.response_of_json
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "undecodable response: %s" e
+  in
+  (match send 300 with
+  | Request.Error_response { code = Request.Bad_request; message; _ } ->
+      Alcotest.(check string) "names the field"
+        "request: knobs: bad parallelism field: 300 above 64" message
+  | _ -> Alcotest.fail "parallelism 300 must be a bad_request");
+  match send 2 with
+  | Request.Ok_response _ -> ()
+  | Request.Error_response { message; _ } ->
+      Alcotest.failf "parallelism 2 after the refusal: %s" message
 
 (* --- server ----------------------------------------------------------------- *)
 
@@ -533,7 +698,7 @@ let prop_batch_key_tracks_knob_fingerprint =
     (QCheck.pair request_arb knobs_arb) (fun (r, k2) ->
       let r2 = { r with Request.knobs = k2 } in
       let same_fp =
-        Knobs.fingerprint_string r.Request.knobs = Knobs.fingerprint_string k2
+        Config.fingerprint_string r.Request.knobs = Config.fingerprint_string k2
       in
       (Request.batch_key r = Request.batch_key r2) = same_fp)
 
@@ -542,7 +707,7 @@ let prop_batch_key_ignores_time_limit =
       let r2 =
         {
           r with
-          Request.knobs = { r.Request.knobs with Knobs.time_limit = Some 42.0 };
+          Request.knobs = { r.Request.knobs with Config.time_limit = Some 42.0 };
         }
       in
       Request.batch_key r = Request.batch_key r2)
@@ -725,9 +890,12 @@ let test_cache_persistence_rejects_corrupt () =
   in
   check_rejected "garbage" "not json {{{";
   check_rejected "wrong version" {|{"version":99,"entries":[]}|};
-  check_rejected "missing entries" {|{"version":1}|};
+  (* version 1 keyed entries by the older, shorter knob fingerprint *)
+  check_rejected "version 1"
+    {|{"version":1,"entries":[{"key":"k","warm":{"solves":1,"orig_cols":0,"orig_rows":0,"basis":null,"pseudocosts":null}}]}|};
+  check_rejected "missing entries" {|{"version":2}|};
   check_rejected "invalid warm state"
-    {|{"version":1,"entries":[{"key":"k","warm":{"solves":-1,"orig_cols":0,"orig_rows":0,"basis":null,"pseudocosts":null}}]}|}
+    {|{"version":2,"entries":[{"key":"k","warm":{"solves":-1,"orig_cols":0,"orig_rows":0,"basis":null,"pseudocosts":null}}]}|}
 
 let test_cache_save_load_file_roundtrip () =
   (* save of a loaded cache reproduces the same entries *)
@@ -866,8 +1034,12 @@ let () =
     [
       ( "codecs",
         [
-          prop_knobs_roundtrip;
+          prop_config_roundtrip;
           prop_knobs_fingerprint_ignores_time_limit;
+          Alcotest.test_case "fingerprint covers every field" `Quick
+            test_fingerprint_covers_every_field;
+          Alcotest.test_case "config rejects out-of-range fields" `Quick
+            test_config_rejects_out_of_range;
           prop_request_roundtrip;
           prop_request_fingerprint_canonical;
           prop_response_roundtrip;
@@ -892,6 +1064,8 @@ let () =
             test_engine_warm_cache_hits;
           Alcotest.test_case "bad request" `Quick test_engine_bad_request;
           Alcotest.test_case "time limit" `Quick test_engine_time_limit;
+          Alcotest.test_case "survives huge parallelism" `Quick
+            test_engine_survives_huge_parallelism;
         ] );
       ( "server",
         [

@@ -77,57 +77,6 @@ let prop_ceil_div =
     (fun (a, b) ->
       Ints.ceil_div a b = int_of_float (Float.ceil (float_of_int a /. float_of_int b)))
 
-(* --- Rat ----------------------------------------------------------------- *)
-
-let test_rat_basic () =
-  let half = Rat.make 1 2 in
-  let third = Rat.make 1 3 in
-  Alcotest.(check string) "add" "5/6" (Rat.to_string (Rat.add half third));
-  Alcotest.(check string) "sub" "1/6" (Rat.to_string (Rat.sub half third));
-  Alcotest.(check string) "mul" "1/6" (Rat.to_string (Rat.mul half third));
-  Alcotest.(check string) "div" "3/2" (Rat.to_string (Rat.div half third));
-  Alcotest.(check string) "normalize" "1/2" (Rat.to_string (Rat.make 4 8));
-  Alcotest.(check string) "neg denominator" "-1/2" (Rat.to_string (Rat.make 1 (-2)));
-  Alcotest.(check bool) "int" true (Rat.is_integer (Rat.make 4 2));
-  Alcotest.(check int) "floor -1/2" (-1) (Rat.floor (Rat.make (-1) 2));
-  Alcotest.(check int) "ceil -1/2" 0 (Rat.ceil (Rat.make (-1) 2));
-  Alcotest.(check int) "floor 7/2" 3 (Rat.floor (Rat.make 7 2));
-  Alcotest.(check int) "ceil 7/2" 4 (Rat.ceil (Rat.make 7 2))
-
-let test_rat_edge () =
-  Alcotest.check_raises "div by zero" Division_by_zero (fun () ->
-      ignore (Rat.make 1 0));
-  Alcotest.(check string) "zero" "0" (Rat.to_string Rat.zero);
-  Alcotest.(check int) "sign neg" (-1) (Rat.sign (Rat.make (-3) 7));
-  Alcotest.(check int) "sign zero" 0 (Rat.sign Rat.zero)
-
-let rat_gen =
-  QCheck.map
-    (fun (n, d) -> Rat.make n d)
-    QCheck.(pair (int_range (-10000) 10000) (int_range 1 10000))
-
-let prop_rat_add_comm =
-  qtest "rat addition commutes" (QCheck.pair rat_gen rat_gen) (fun (a, b) ->
-      Rat.equal (Rat.add a b) (Rat.add b a))
-
-let prop_rat_roundtrip =
-  qtest "of_float_approx inverts to_float on small rationals" rat_gen (fun a ->
-      Rat.equal a (Rat.of_float_approx ~max_den:100_000_000 (Rat.to_float a)))
-
-let prop_rat_floor_ceil =
-  qtest "floor <= x <= ceil" rat_gen (fun a ->
-      Rat.compare (Rat.of_int (Rat.floor a)) a <= 0
-      && Rat.compare a (Rat.of_int (Rat.ceil a)) <= 0
-      && Rat.ceil a - Rat.floor a <= 1)
-
-let prop_rat_order =
-  qtest "compare agrees with float compare" (QCheck.pair rat_gen rat_gen)
-    (fun (a, b) ->
-      let c = Rat.compare a b in
-      let f = compare (Rat.to_float a) (Rat.to_float b) in
-      (* floats of small rationals are exact enough to agree on strict order *)
-      (c = 0 && f = 0) || c * f > 0 || (c <> 0 && f = 0))
-
 (* --- Prng ---------------------------------------------------------------- *)
 
 let test_prng_deterministic () =
@@ -203,15 +152,6 @@ let prop_heap_sorted =
       drain [] = List.sort compare xs)
 
 
-let test_rat_min_max_abs () =
-  let a = Rat.make (-3) 4 and b = Rat.make 1 2 in
-  Alcotest.(check string) "min" "-3/4" (Rat.to_string (Rat.min a b));
-  Alcotest.(check string) "max" "1/2" (Rat.to_string (Rat.max a b));
-  Alcotest.(check string) "abs" "3/4" (Rat.to_string (Rat.abs a));
-  Alcotest.(check string) "neg" "3/4" (Rat.to_string (Rat.neg a));
-  Alcotest.(check int) "num" (-3) (Rat.num a);
-  Alcotest.(check int) "den" 4 (Rat.den a)
-
 let test_prng_copy_independent () =
   let a = Prng.create 3 in
   ignore (Prng.int a 10);
@@ -276,16 +216,6 @@ let () =
           Alcotest.test_case "ceil_pow2 huge" `Quick test_ceil_pow2_huge;
           prop_ceil_pow2;
           prop_ceil_div;
-        ] );
-      ( "rat",
-        [
-          Alcotest.test_case "basic" `Quick test_rat_basic;
-          Alcotest.test_case "edge" `Quick test_rat_edge;
-          prop_rat_add_comm;
-          prop_rat_roundtrip;
-          prop_rat_floor_ceil;
-          prop_rat_order;
-          Alcotest.test_case "min/max/abs" `Quick test_rat_min_max_abs;
         ] );
       ( "prng",
         [

@@ -79,7 +79,11 @@ let test_table3_devex_objectives () =
     (fun (p : Table3.point) ->
       let board, design = Gen.instance p.Table3.spec in
       let solve pricing parallelism =
-        let options = Mm_mapping.Mapper.options ~pricing ~parallelism () in
+        let options =
+          Mm_mapping.Mapper.options
+            ~solver_options:(Mm_lp.Config.make ~pricing ~parallelism ())
+            ()
+        in
         match Mm_mapping.Mapper.run ~options board design with
         | Ok o -> o.Mm_mapping.Mapper.objective
         | Error e -> Alcotest.fail (Mm_mapping.Mapper.error_to_string e)
