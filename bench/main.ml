@@ -11,10 +11,7 @@
 
 open Mm_util
 
-let full_mode = ref false
 let requested = ref []
-
-let quick_cap () = if !full_mode then 900.0 else 60.0
 
 let line fmt = Printf.ksprintf (fun s -> print_string s; print_newline ()) fmt
 
@@ -186,30 +183,244 @@ let run_table2 () =
 (* Table 3 + Fig. 4: complete vs global/detailed execution time        *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-engine measurement of one design point: wall time plus the LP-core
-   counters that BENCH_lp.json records. *)
-type t3_cell = {
-  seconds : float;
-  optimal : bool;
-  objective : float option;
-  pivots : int;
-  nodes : int;
-  domains : int;
-  stolen : int;
-  idle : float;
-  cuts_root : int;
-  cuts_node : int;
-  cuts_dropped : int;
-  cuts_fams : (string * int) list;
-  incumbent : string;
-  sparse_solves : int;
-  dense_fallbacks : int;
+let formulations =
+  [
+    ("global", Mm_mapping.Mapper.Global_detailed);
+    ("complete", Mm_mapping.Mapper.Complete_flat);
+  ]
+
+let spec_fields (spec : Mm_workload.Gen.spec) =
+  [
+    ("segments", Record.int spec.Mm_workload.Gen.segments);
+    ("banks", Record.int spec.Mm_workload.Gen.banks);
+    ("ports", Record.int spec.Mm_workload.Gen.ports);
+    ("configs", Record.int spec.Mm_workload.Gen.configs);
+  ]
+
+(* One solve of [design] on [board] under [config] and the experiment's
+   time cap.  The Table-3 metric is ILP time for the complete
+   formulation and ILP plus detailed placement for the global one.  A
+   run that ends without an incumbent keeps the wall clock it burned
+   and reports no objective. *)
+let measure ?trace ~method_ config board design : Record.cell =
+  let solver_options =
+    { config with Mm_lp.Config.time_limit = Some (Record.cap ()) }
+  in
+  let options = Mm_mapping.Mapper.options ~solver_options ?trace () in
+  let t0 = Unix.gettimeofday () in
+  match Mm_mapping.Mapper.run ~method_ ~options board design with
+  | Ok o ->
+      let r = o.Mm_mapping.Mapper.ilp_result in
+      let mip = r.Mm_lp.Solver.mip and stats = r.Mm_lp.Solver.stats in
+      let par = stats.Mm_lp.Solver.parallel and lp = stats.Mm_lp.Solver.lp in
+      {
+        seconds =
+          (o.Mm_mapping.Mapper.ilp_seconds
+          +.
+          if method_ = Mm_mapping.Mapper.Global_detailed then
+            o.Mm_mapping.Mapper.detailed_seconds
+          else 0.0);
+        optimal = mip.Mm_lp.Branch_bound.status = Mm_lp.Branch_bound.Optimal;
+        objective = Some o.Mm_mapping.Mapper.objective;
+        pivots = lp.Mm_lp.Simplex.pivots;
+        nodes = mip.Mm_lp.Branch_bound.nodes;
+        domains = par.Mm_lp.Branch_bound.domains_used;
+        stolen = par.Mm_lp.Branch_bound.nodes_stolen;
+        idle = par.Mm_lp.Branch_bound.idle_seconds;
+        cuts_root = stats.Mm_lp.Solver.cuts_added;
+        cuts_node = stats.Mm_lp.Solver.node_cuts_added;
+        cuts_dropped = stats.Mm_lp.Solver.cuts_dropped;
+        cuts_fams = stats.Mm_lp.Solver.cuts_by_family;
+        incumbent =
+          Mm_lp.Branch_bound.incumbent_source_to_string
+            mip.Mm_lp.Branch_bound.incumbent_source;
+        sparse_solves = lp.Mm_lp.Simplex.sparse_solves;
+        dense_fallbacks = lp.Mm_lp.Simplex.dense_fallbacks;
+      }
+  | Error _ ->
+      {
+        seconds = Unix.gettimeofday () -. t0;
+        optimal = false;
+        objective = None;
+        pivots = 0;
+        nodes = 0;
+        domains = 0;
+        stolen = 0;
+        idle = 0.0;
+        cuts_root = 0;
+        cuts_node = 0;
+        cuts_dropped = 0;
+        cuts_fams = [];
+        incumbent = "none";
+        sparse_solves = 0;
+        dense_fallbacks = 0;
+      }
+
+(* '*' marks a run that hit the cap before proving optimality. *)
+let fmt_time (c : Record.cell) =
+  match c.objective with
+  | None -> "failed"
+  | Some _ -> Printf.sprintf (if c.optimal then "%.2f" else "%.2f*") c.seconds
+
+let fmt_obj = function Some o -> Printf.sprintf "%g" o | None -> "none"
+
+(* One message per named pair of cells whose objectives differ.
+   [strict] also flags a pair in which either run found no incumbent. *)
+let objective_mismatches ?(strict = false) pairs =
+  List.filter_map
+    (fun (leg, (na, (a : Record.cell)), (nb, (b : Record.cell))) ->
+      let differ =
+        if a.objective <> None && b.objective <> None then
+          not (Record.agree a b)
+        else strict
+      in
+      if differ then
+        Some
+          (Printf.sprintf "%s %s/%s objective mismatch (%s vs %s)" leg na nb
+             (fmt_obj a.objective) (fmt_obj b.objective))
+      else None)
+    pairs
+
+(* A message when two runs that must follow one pivot trajectory both
+   proved optimality in different pivot counts. *)
+let pivot_divergence (leg, (na, (a : Record.cell)), (nb, (b : Record.cell))) =
+  if a.optimal && b.optimal && a.pivots <> b.pivots then
+    Some
+      (Printf.sprintf "%s %s/%s pivot trajectory diverged (%d vs %d)" leg na nb
+         a.pivots b.pivots)
+  else None
+
+(* An A/B arm: a baseline and a candidate solver configuration, run
+   under one budget on both formulations.  [columns] are what a table
+   shows per configuration, [headline] the figure the record keeps when
+   both proved the same optimum.  [trajectory] marks arms whose two
+   configurations must follow one pivot trajectory. *)
+type ab = {
+  key : string;
+  base : string * Mm_lp.Config.t;
+  cand : string * Mm_lp.Config.t;
+  columns : (string * (Record.cell -> string)) list;
+  headline : string * (Record.cell -> Record.cell -> float option);
+  trajectory : bool;
 }
 
-(* Traced re-run of the serial global leg: wall time with tracing
-   enabled plus the per-phase span totals recovered from the trace.
-   Paired with the untraced cell it is the A/B evidence that tracing
-   is cheap when on and free when off. *)
+let seconds_col = ("time (s)", fmt_time)
+let pivots_col = ("pivots", fun (c : Record.cell) -> string_of_int c.pivots)
+
+(* percentage drop of a counter from the baseline to the candidate *)
+let reduction f b c =
+  if f b > 0 then
+    Some (100.0 *. float_of_int (f b - f c) /. float_of_int (f b))
+  else None
+
+(* devex pricing (the default) against the full-scan dantzig baseline *)
+let pricing_ab =
+  {
+    key = "pricing_ab";
+    base = ("dantzig", Mm_lp.Config.make ~pricing:Mm_lp.Simplex.Dantzig ());
+    cand = ("devex", Mm_lp.Config.default);
+    columns = [ seconds_col; pivots_col ];
+    headline =
+      ("pivot_reduction_pct", reduction (fun (c : Record.cell) -> c.pivots));
+    trajectory = false;
+  }
+
+(* the full cut pool with node cuts and GUB diving (the default) against
+   the pre-pool configuration: knapsack covers at the root only *)
+let cuts_ab =
+  {
+    key = "cuts_ab";
+    base = ("cover_only", Mm_lp.Solver.baseline_options ());
+    cand = ("full_pool", Mm_lp.Config.default);
+    columns =
+      [
+        seconds_col;
+        ("nodes", fun c -> string_of_int c.nodes);
+        ( "cuts r/n/d",
+          fun c ->
+            Printf.sprintf "%d/%d/%d" c.cuts_root c.cuts_node c.cuts_dropped );
+        ("incumbent", fun c -> c.incumbent);
+      ];
+    headline =
+      ("node_reduction_pct", reduction (fun (c : Record.cell) -> c.nodes));
+    trajectory = false;
+  }
+
+(* each FTRAN/BTRAN kernel forced: the default [Auto] kernel runs the
+   dense sweeps at Table-3 basis sizes, so the hypersparse kernel needs
+   its own forced leg *)
+let hypersparse_ab =
+  {
+    key = "hypersparse_ab";
+    base = ("dense", Mm_lp.Config.make ~lu_kernel:Mm_lp.Lu.Dense ());
+    cand = ("sparse", Mm_lp.Config.make ~lu_kernel:Mm_lp.Lu.Sparse ());
+    columns =
+      [
+        seconds_col;
+        pivots_col;
+        ( "solves sparse/fallback",
+          fun c -> Printf.sprintf "%d/%d" c.sparse_solves c.dense_fallbacks );
+      ];
+    headline =
+      ( "speedup",
+        fun (d : Record.cell) (s : Record.cell) ->
+          if s.seconds > 0.0 then Some (d.seconds /. s.seconds) else None );
+    trajectory = true;
+  }
+
+let ab_arms = [ pricing_ab; cuts_ab; hypersparse_ab ]
+
+(* A measured arm is one (formulation, baseline, candidate) triple per
+   formulation. *)
+let ab_json ab pairs =
+  Mm_obs.Json.Obj
+    (List.map
+       (fun (form, b, c) ->
+         (form, Record.pair (fst ab.base, b) (fst ab.cand, c) ab.headline))
+       pairs)
+
+(* the candidate checked against the baseline, per formulation *)
+let ab_checks ab pairs =
+  List.map
+    (fun (form, b, c) -> (form, (fst ab.cand, c), (fst ab.base, b)))
+    pairs
+
+(* One A/B arm as a table: a row per configuration of each labelled
+   pair, with the arm's columns and objective; the candidate's row also
+   carries the headline. *)
+let print_ab ab labels rows =
+  let key, f = ab.headline in
+  let t =
+    Table.create
+      (List.map (fun l -> (l, Table.Left)) (labels @ [ "config" ])
+      @ List.map (fun (h, _) -> (h, Table.Right)) ab.columns
+      @ [ ("objective", Table.Right); (key, Table.Right) ])
+  in
+  List.iter
+    (fun (label, b, c) ->
+      let add (name, (x : Record.cell)) last =
+        Table.add_row t
+          (label @ [ name ]
+          @ List.map (fun (_, g) -> g x) ab.columns
+          @ [
+              (match x.objective with
+              | Some o -> Printf.sprintf "%.0f" o
+              | None -> "-");
+              last;
+            ])
+      in
+      add (fst ab.base, b) "";
+      add (fst ab.cand, c)
+        (match Record.headline f b c with
+        | Some v -> Printf.sprintf "%.2f" v
+        | None -> "-"))
+    rows;
+  Table.print t
+
+(* Traced re-run of the serial global leg: its time with tracing enabled
+   plus the per-phase span totals recovered from the trace.  Paired with
+   the untraced cell it is the A/B evidence that tracing is cheap when
+   on and free when off. *)
 type t3_traced = {
   traced_seconds : float;
   phases : (string * float) list;
@@ -219,80 +430,40 @@ type t3_traced = {
 
 type t3_row = {
   point : Mm_workload.Table3.point;
-  global : t3_cell;
-  global_par : t3_cell;
-  complete : t3_cell;
-  (* dantzig-pricing re-runs of the serial legs; paired with the devex
-     cells above they form the pricing_ab record in BENCH_lp.json *)
-  global_dz : t3_cell;
-  complete_dz : t3_cell;
-  (* root-cover-only re-runs (Solver.baseline_options: no lifted covers,
-     no GMI, no aging, no node cuts, no diving heuristic); paired with
-     the full-pool cells above they form the cuts_ab record *)
-  global_base : t3_cell;
-  complete_base : t3_cell;
-  (* forced-kernel re-runs of the serial legs (--lu-kernel dense /
-     --lu-kernel sparse); paired they form the hypersparse_ab record.
-     The default legs above run [Auto], which at Table-3 sizes (m well
-     below the floor) takes the dense sweeps, so the A/B needs its own
-     forced-Sparse leg to exercise the hypersparse kernel.  All kernels
-     follow the identical pivot trajectory, so pivot counts must match
-     cell for cell. *)
-  global_dlu : t3_cell;
-  complete_dlu : t3_cell;
-  global_slu : t3_cell;
-  complete_slu : t3_cell;
+  global : Record.cell;
+  global_par : Record.cell;
+  complete : Record.cell;
+  (* per A/B arm key, its measured (formulation, baseline, candidate)
+     triples *)
+  abs : (string * (string * Record.cell * Record.cell) list) list;
   traced : t3_traced;
 }
 
-(* Worker domains for the parallel leg of the sweep.  At least 2 so the
-   work-stealing machinery is actually exercised even on one core. *)
-let bench_parallelism = max 2 (Domain.recommended_domain_count ())
-
-let failed_cell seconds =
-  {
-    seconds;
-    optimal = false;
-    objective = None;
-    pivots = 0;
-    nodes = 0;
-    domains = 0;
-    stolen = 0;
-    idle = 0.0;
-    cuts_root = 0;
-    cuts_node = 0;
-    cuts_dropped = 0;
-    cuts_fams = [];
-    incumbent = "none";
-    sparse_solves = 0;
-    dense_fallbacks = 0;
-  }
-
-let cell_of_outcome seconds (o : Mm_mapping.Mapper.outcome) =
-  let r = o.Mm_mapping.Mapper.ilp_result in
-  let mip = r.Mm_lp.Solver.mip in
-  let par = r.Mm_lp.Solver.stats.Mm_lp.Solver.parallel in
-  {
-    seconds;
-    optimal = mip.Mm_lp.Branch_bound.status = Mm_lp.Branch_bound.Optimal;
-    objective = Some o.Mm_mapping.Mapper.objective;
-    pivots = r.Mm_lp.Solver.stats.Mm_lp.Solver.lp.Mm_lp.Simplex.pivots;
-    nodes = mip.Mm_lp.Branch_bound.nodes;
-    domains = par.Mm_lp.Branch_bound.domains_used;
-    stolen = par.Mm_lp.Branch_bound.nodes_stolen;
-    idle = par.Mm_lp.Branch_bound.idle_seconds;
-    cuts_root = r.Mm_lp.Solver.stats.Mm_lp.Solver.cuts_added;
-    cuts_node = r.Mm_lp.Solver.stats.Mm_lp.Solver.node_cuts_added;
-    cuts_dropped = r.Mm_lp.Solver.stats.Mm_lp.Solver.cuts_dropped;
-    cuts_fams = r.Mm_lp.Solver.stats.Mm_lp.Solver.cuts_by_family;
-    incumbent =
-      Mm_lp.Branch_bound.incumbent_source_to_string
-        mip.Mm_lp.Branch_bound.incumbent_source;
-    sparse_solves =
-      r.Mm_lp.Solver.stats.Mm_lp.Solver.lp.Mm_lp.Simplex.sparse_solves;
-    dense_fallbacks =
-      r.Mm_lp.Solver.stats.Mm_lp.Solver.lp.Mm_lp.Simplex.dense_fallbacks;
-  }
+let traced_global board design =
+  let tr = Mm_obs.Trace.create () in
+  let c =
+    measure ~trace:tr ~method_:Mm_mapping.Mapper.Global_detailed
+      Mm_lp.Config.default board design
+  in
+  let phases, counters =
+    match Mm_obs.Summary.of_lines (Mm_obs.Trace.dump_lines tr) with
+    | Ok events ->
+        let totals = Hashtbl.create 8 and order = ref [] in
+        List.iter
+          (fun (e : Mm_obs.Summary.event) ->
+            if e.Mm_obs.Summary.kind = "count" then begin
+              let name = e.Mm_obs.Summary.name in
+              if not (Hashtbl.mem totals name) then order := name :: !order;
+              Hashtbl.replace totals name
+                ((try Hashtbl.find totals name with Not_found -> 0)
+                + e.Mm_obs.Summary.n)
+            end)
+          events;
+        ( Mm_obs.Summary.phase_totals events,
+          List.rev_map (fun name -> (name, Hashtbl.find totals name)) !order )
+    | Error _ -> ([], [])
+  in
+  { traced_seconds = c.seconds; phases; counters }
 
 let table3_cache : t3_row list option ref = ref None
 
@@ -300,68 +471,6 @@ let measure_table3 () =
   match !table3_cache with
   | Some rows -> rows
   | None ->
-      let cap = quick_cap () in
-      let opts =
-        Mm_mapping.Mapper.options
-          ~solver_options:(Mm_lp.Solver.quick_options ~time_limit:cap ())
-          ()
-      in
-      (* identical budget with the full-scan dantzig baseline pricing;
-         the default legs above run devex *)
-      let opts_dz =
-        Mm_mapping.Mapper.options
-          ~solver_options:
-            (Mm_lp.Config.make ~time_limit:cap
-               ~pricing:Mm_lp.Simplex.Dantzig ())
-          ()
-      in
-      (* identical budget under the pre-pool cut configuration: knapsack
-         covers at the root only, no heuristics — the other arm of the
-         cuts_ab record (the default legs run the full pool) *)
-      let opts_base =
-        Mm_mapping.Mapper.options
-          ~solver_options:(Mm_lp.Solver.baseline_options ~time_limit:cap ())
-          ()
-      in
-      (* identical budget with each FTRAN/BTRAN kernel forced: the two
-         arms of the hypersparse_ab record (the default legs above run
-         [Auto], which is dense at these basis sizes) *)
-      let opts_dlu =
-        Mm_mapping.Mapper.options
-          ~solver_options:
-            (Mm_lp.Config.make ~time_limit:cap
-               ~lu_kernel:Mm_lp.Lu.Dense ())
-          ()
-      in
-      let opts_slu =
-        Mm_mapping.Mapper.options
-          ~solver_options:
-            (Mm_lp.Config.make ~time_limit:cap
-               ~lu_kernel:Mm_lp.Lu.Sparse ())
-          ()
-      in
-      (* same budget, [bench_parallelism] worker domains; the serial leg
-         stays the recorded baseline *)
-      let opts_par =
-        Mm_mapping.Mapper.options
-          ~solver_options:
-            (Mm_lp.Solver.quick_options ~time_limit:cap
-               ~parallelism:bench_parallelism ())
-          ()
-      in
-      let measure_global options board design =
-        let t0 = Unix.gettimeofday () in
-        match Mm_mapping.Mapper.run ~options board design with
-        | Ok o ->
-            cell_of_outcome
-              (o.Mm_mapping.Mapper.ilp_seconds
-              +. o.Mm_mapping.Mapper.detailed_seconds)
-              o
-        | Error _ ->
-            (* budget exhausted before an incumbent: report the
-               wall clock actually burned, flagged as capped *)
-            failed_cell (Unix.gettimeofday () -. t0)
-      in
       let rows =
         List.map
           (fun (point : Mm_workload.Table3.point) ->
@@ -369,369 +478,136 @@ let measure_table3 () =
             Printf.eprintf "table3: point %d segments / %d banks...\n%!"
               spec.Mm_workload.Gen.segments spec.Mm_workload.Gen.banks;
             let board, design = Mm_workload.Gen.instance spec in
-            let global = measure_global opts board design in
-            let global_par = measure_global opts_par board design in
-            (match (global.objective, global_par.objective) with
-            | Some a, Some b when Float.abs (a -. b) > 1e-6 ->
-                Printf.eprintf
-                  "table3: WARNING serial/parallel objective mismatch (%g vs %g)\n%!"
-                  a b
-            | _ -> ());
-            let measure_complete options =
-              let t0 = Unix.gettimeofday () in
-              match
-                Mm_mapping.Mapper.run ~method_:Mm_mapping.Mapper.Complete_flat
-                  ~options board design
-              with
-              | Ok o -> cell_of_outcome o.Mm_mapping.Mapper.ilp_seconds o
-              | Error _ -> failed_cell (Unix.gettimeofday () -. t0)
+            (* each (formulation, configuration) is solved once: the
+               default legs double as the devex and full-pool arms *)
+            let solved = ref [] in
+            let leg method_ config =
+              match List.assoc_opt (method_, config) !solved with
+              | Some c -> c
+              | None ->
+                  let c = measure ~method_ config board design in
+                  solved := ((method_, config), c) :: !solved;
+                  c
             in
-            let complete = measure_complete opts in
-            let global_dz = measure_global opts_dz board design in
-            let complete_dz = measure_complete opts_dz in
-            let global_base = measure_global opts_base board design in
-            let complete_base = measure_complete opts_base in
-            let global_dlu = measure_global opts_dlu board design in
-            let complete_dlu = measure_complete opts_dlu in
-            let global_slu = measure_global opts_slu board design in
-            let complete_slu = measure_complete opts_slu in
-            List.iter
-              (fun (leg, sp, dn) ->
-                (match (sp.objective, dn.objective) with
-                | Some a, Some b when Float.abs (a -. b) > 1e-6 ->
-                    Printf.eprintf
-                      "table3: WARNING %s sparse/dense-LU objective mismatch \
-                       (%g vs %g)\n\
-                       %!"
-                      leg a b
-                | _ -> ());
-                if
-                  sp.optimal && dn.optimal && sp.pivots <> dn.pivots
-                then
-                  Printf.eprintf
-                    "table3: WARNING %s sparse/dense-LU pivot trajectory \
-                     diverged (%d vs %d)\n\
-                     %!"
-                    leg sp.pivots dn.pivots)
-              [
-                ("global", global_slu, global_dlu);
-                ("complete", complete_slu, complete_dlu);
-                ("global-auto", global, global_dlu);
-                ("complete-auto", complete, complete_dlu);
-              ];
-            List.iter
-              (fun (leg, dx, dz) ->
-                match (dx, dz) with
-                | Some a, Some b when Float.abs (a -. b) > 1e-6 ->
-                    Printf.eprintf
-                      "table3: WARNING %s devex/dantzig objective mismatch \
-                       (%g vs %g)\n\
-                       %!"
-                      leg a b
-                | _ -> ())
-              [
-                ("global", global.objective, global_dz.objective);
-                ("complete", complete.objective, complete_dz.objective);
-              ];
-            List.iter
-              (fun (leg, full, base) ->
-                match (full, base) with
-                | Some a, Some b when Float.abs (a -. b) > 1e-6 ->
-                    Printf.eprintf
-                      "table3: WARNING %s full-pool/cover-only objective \
-                       mismatch (%g vs %g)\n\
-                       %!"
-                      leg a b
-                | _ -> ())
-              [
-                ("global", global.objective, global_base.objective);
-                ("complete", complete.objective, complete_base.objective);
-              ];
-            let traced =
-              let tr = Mm_obs.Trace.create () in
-              let opts_tr =
-                Mm_mapping.Mapper.options
-                  ~solver_options:
-                    (Mm_lp.Solver.quick_options ~time_limit:cap ())
-                  ~trace:tr ()
-              in
-              let t0 = Unix.gettimeofday () in
-              (match Mm_mapping.Mapper.run ~options:opts_tr board design with
-              | Ok _ | Error _ -> ());
-              let traced_seconds = Unix.gettimeofday () -. t0 in
-              let phases, counters =
-                match Mm_obs.Summary.of_lines (Mm_obs.Trace.dump_lines tr) with
-                | Ok events ->
-                    let totals = Hashtbl.create 8 and order = ref [] in
-                    List.iter
-                      (fun (e : Mm_obs.Summary.event) ->
-                        if e.Mm_obs.Summary.kind = "count" then begin
-                          let name = e.Mm_obs.Summary.name in
-                          if not (Hashtbl.mem totals name) then
-                            order := name :: !order;
-                          Hashtbl.replace totals name
-                            ((try Hashtbl.find totals name with Not_found -> 0)
-                            + e.Mm_obs.Summary.n)
-                        end)
-                      events;
-                    ( Mm_obs.Summary.phase_totals events,
-                      List.rev_map
-                        (fun name -> (name, Hashtbl.find totals name))
-                        !order )
-                | Error _ -> ([], [])
-              in
-              { traced_seconds; phases; counters }
+            let default = Mm_lp.Config.default in
+            let global = leg Mm_mapping.Mapper.Global_detailed default in
+            (* same budget, [Record.parallelism] worker domains; the
+               serial leg stays the recorded baseline *)
+            let global_par =
+              leg Mm_mapping.Mapper.Global_detailed
+                { default with parallelism = Record.parallelism }
             in
-            { point; global; global_par; complete; global_dz; complete_dz;
-              global_base; complete_base; global_dlu; complete_dlu;
-              global_slu; complete_slu; traced })
+            let complete = leg Mm_mapping.Mapper.Complete_flat default in
+            let abs =
+              List.map
+                (fun ab ->
+                  let run (_, config) =
+                    List.map
+                      (fun (form, m) -> (form, leg m config))
+                      formulations
+                  in
+                  let base = run ab.base in
+                  let cand = run ab.cand in
+                  ( ab.key,
+                    List.map2
+                      (fun (form, b) (_, c) -> (form, b, c))
+                      base cand ))
+                ab_arms
+            in
+            (* every arm's candidate against its baseline and, where the
+               candidate is not the default configuration, the default
+               too *)
+            let checks =
+              (false, ("global", ("parallel", global_par), ("serial", global)))
+              :: List.concat_map
+                   (fun ab ->
+                     let pairs = List.assoc ab.key abs in
+                     let default_legs =
+                       if snd ab.cand = default then []
+                       else
+                         List.map
+                           (fun (form, b, _) ->
+                             let m = List.assoc form formulations in
+                             ( form,
+                               ("default", leg m default),
+                               (fst ab.base, b) ))
+                           pairs
+                     in
+                     List.map
+                       (fun c -> (ab.trajectory, c))
+                       (ab_checks ab pairs @ default_legs))
+                   ab_arms
+            in
+            let warn msg = Printf.eprintf "table3: WARNING %s\n%!" msg in
+            List.iter warn (objective_mismatches (List.map snd checks));
+            List.iter warn
+              (List.filter_map
+                 (fun (trajectory, c) ->
+                   if trajectory then pivot_divergence c else None)
+                 checks);
+            let traced = traced_global board design in
+            { point; global; global_par; complete; abs; traced })
           Mm_workload.Table3.points
       in
       table3_cache := Some rows;
       rows
 
-(* Complete-flat ILP times of the dense-basis-inverse simplex this
-   engine replaced (measured on this machine, 60 s cap, at the commit
-   before the sparse LU core landed).  Kept as the reference point for
-   the speedup record in BENCH_lp.json: the dense engine proved points
-   0-6 only, found a non-optimal incumbent on point 7 and nothing at
-   all on point 8. *)
-let dense_baseline =
+(* Machine-readable record of the Table-3 sweep: per design point, every
+   measured cell, plus the tracing overhead over the whole sweep: the
+   untraced legs run with tracing disabled (the no-op sink), the traced
+   legs with a live trace. *)
+let table3_record rows =
+  let point r =
+    Mm_obs.Json.Obj
+      (spec_fields r.point.Mm_workload.Table3.spec
+      @ [
+          ("complete", Record.cell r.complete);
+          ("global", Record.cell r.global);
+          ("global_parallel", Record.cell r.global_par);
+          ( "global_traced",
+            Mm_obs.Json.Obj
+              [
+                ("seconds", Record.num r.traced.traced_seconds);
+                ( "phases",
+                  Mm_obs.Json.Obj
+                    (List.map
+                       (fun (n, s) -> (n, Record.num ~digits:6 s))
+                       r.traced.phases) );
+                ( "counters",
+                  Mm_obs.Json.Obj
+                    (List.map
+                       (fun (n, k) -> (n, Record.int k))
+                       r.traced.counters) );
+              ] );
+        ]
+      @ List.map
+          (fun ab -> (ab.key, ab_json ab (List.assoc ab.key r.abs)))
+          ab_arms)
+  in
+  let total f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in
+  let untraced = total (fun r -> r.global.seconds)
+  and traced = total (fun r -> r.traced.traced_seconds) in
   [
-    (0.112, true, Some 302649.0);
-    (9.588, true, Some 458822.0);
-    (9.874, true, Some 297826.0);
-    (30.318, true, Some 810398.0);
-    (5.530, true, Some 678153.0);
-    (39.612, true, Some 752585.0);
-    (10.583, true, Some 78985.0);
-    (60.075, false, Some 568148.0);
-    (61.433, false, None);
+    ("points", Mm_obs.Json.List (List.map point rows));
+    ( "trace_ab",
+      Mm_obs.Json.Obj
+        [
+          ("untraced_global_seconds", Record.num untraced);
+          ("traced_global_seconds", Record.num traced);
+          ( "overhead_pct",
+            if untraced > 0.0 then
+              Record.num ~digits:2 (100.0 *. (traced -. untraced) /. untraced)
+            else Mm_obs.Json.Null );
+        ] );
   ]
-
-(* Dantzig-vs-devex A/B record for one formulation: both measurements
-   plus the headline pivot reduction (null unless both legs proved
-   optimality with matching objectives). *)
-let pricing_pair ~dantzig ~devex =
-  let num v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
-  let opt_num = function Some v -> num v | None -> "null" in
-  let leg c =
-    Printf.sprintf
-      "{ \"seconds\": %s, \"optimal\": %b, \"objective\": %s, \"pivots\": %d }"
-      (num c.seconds) c.optimal (opt_num c.objective) c.pivots
-  in
-  let reduction =
-    match (dantzig.objective, devex.objective) with
-    | Some a, Some b
-      when dantzig.optimal && devex.optimal
-           && Float.abs (a -. b) <= 1e-6
-           && dantzig.pivots > 0 ->
-        Printf.sprintf "%.2f"
-          (100.0
-          *. float_of_int (dantzig.pivots - devex.pivots)
-          /. float_of_int dantzig.pivots)
-    | _ -> "null"
-  in
-  Printf.sprintf
-    "{ \"dantzig\": %s, \"devex\": %s, \"pivot_reduction_pct\": %s }"
-    (leg dantzig) (leg devex) reduction
-
-(* Cut-subsystem A/B record for one formulation: the root-cover-only
-   configuration (Solver.baseline_options, the pre-pool behavior) against
-   the full pool — lifted covers, GMI, aging, node separation and the
-   GUB diving heuristic.  The headline node reduction is null unless
-   both arms proved optimality with matching objectives. *)
-let cuts_pair ~baseline ~full =
-  let num v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
-  let opt_num = function Some v -> num v | None -> "null" in
-  let leg c =
-    let fams =
-      String.concat ", "
-        (List.map
-           (fun (fam, n) -> Printf.sprintf "\"%s\": %d" fam n)
-           c.cuts_fams)
-    in
-    Printf.sprintf
-      "{ \"seconds\": %s, \"optimal\": %b, \"objective\": %s, \"pivots\": %d, \
-       \"nodes\": %d, \"cuts\": { \"root\": %d, \"node\": %d, \"dropped\": %d, \
-       \"by_family\": { %s } }, \"incumbent_source\": \"%s\" }"
-      (num c.seconds) c.optimal (opt_num c.objective) c.pivots c.nodes
-      c.cuts_root c.cuts_node c.cuts_dropped fams c.incumbent
-  in
-  let reduction =
-    match (baseline.objective, full.objective) with
-    | Some a, Some b
-      when baseline.optimal && full.optimal
-           && Float.abs (a -. b) <= 1e-6
-           && baseline.nodes > 0 ->
-        Printf.sprintf "%.2f"
-          (100.0
-          *. float_of_int (baseline.nodes - full.nodes)
-          /. float_of_int baseline.nodes)
-    | _ -> "null"
-  in
-  Printf.sprintf
-    "{ \"cover_only\": %s, \"full_pool\": %s, \"node_reduction_pct\": %s }"
-    (leg baseline) (leg full) reduction
-
-(* Hypersparse-vs-dense LU kernel A/B record for one formulation: both
-   measurements plus the headline wall-clock speedup (null unless both
-   legs proved optimality with matching objectives). The kernels follow
-   the identical pivot trajectory, so the pivot counts must also match;
-   the sparse leg additionally reports how many triangular solves ran
-   hypersparse vs fell back to the dense sweep. *)
-let hypersparse_pair ~dense ~sparse =
-  let num v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
-  let opt_num = function Some v -> num v | None -> "null" in
-  let leg c =
-    Printf.sprintf
-      "{ \"seconds\": %s, \"optimal\": %b, \"objective\": %s, \"pivots\": %d, \
-       \"sparse_solves\": %d, \"dense_fallbacks\": %d }"
-      (num c.seconds) c.optimal (opt_num c.objective) c.pivots c.sparse_solves
-      c.dense_fallbacks
-  in
-  let speedup =
-    match (dense.objective, sparse.objective) with
-    | Some a, Some b
-      when dense.optimal && sparse.optimal
-           && Float.abs (a -. b) <= 1e-6
-           && sparse.seconds > 0.0 ->
-        Printf.sprintf "%.2f" (dense.seconds /. sparse.seconds)
-    | _ -> "null"
-  in
-  Printf.sprintf "{ \"dense\": %s, \"sparse\": %s, \"speedup\": %s }"
-    (leg dense) (leg sparse) speedup
-
-(* Machine-readable record of the Table-3 sweep: per design point, wall
-   time, status, objective, simplex pivots and branch-and-bound nodes for
-   both engines.  NaN times (failed runs) become JSON null. *)
-let write_bench_json rows =
-  let buf = Buffer.create 4096 in
-  let num v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
-  let opt_num = function Some v -> num v | None -> "null" in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"benchmark\": \"table3 complete vs global/detailed\",\n");
-  Buffer.add_string buf
-    (Printf.sprintf "  \"mode\": \"%s\",\n" (if !full_mode then "full" else "quick"));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"time_cap_seconds\": %.1f,\n" (quick_cap ()));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"parallelism\": %d,\n" bench_parallelism);
-  Buffer.add_string buf "  \"points\": [\n";
-  List.iteri
-    (fun i r ->
-      let spec = r.point.Mm_workload.Table3.spec in
-      let cell c =
-        Printf.sprintf
-          "{ \"seconds\": %s, \"optimal\": %b, \"objective\": %s, \"pivots\": %d, \"nodes\": %d }"
-          (num c.seconds) c.optimal (opt_num c.objective) c.pivots c.nodes
-      in
-      let par_cell c =
-        Printf.sprintf
-          "{ \"seconds\": %s, \"optimal\": %b, \"objective\": %s, \"pivots\": %d, \
-           \"nodes\": %d, \"domains\": %d, \"nodes_stolen\": %d, \"idle_seconds\": %s }"
-          (num c.seconds) c.optimal (opt_num c.objective) c.pivots c.nodes
-          c.domains c.stolen (num c.idle)
-      in
-      let dense =
-        match List.nth_opt dense_baseline i with
-        | Some (seconds, optimal, objective) ->
-            Printf.sprintf
-              "{ \"seconds\": %s, \"optimal\": %b, \"objective\": %s }"
-              (num seconds) optimal (opt_num objective)
-        | None -> "null"
-      in
-      let traced =
-        let phases =
-          String.concat ", "
-            (List.map
-               (fun (name, s) -> Printf.sprintf "\"%s\": %.6f" name s)
-               r.traced.phases)
-        in
-        let counters =
-          String.concat ", "
-            (List.map
-               (fun (name, n) -> Printf.sprintf "\"%s\": %d" name n)
-               r.traced.counters)
-        in
-        Printf.sprintf
-          "{ \"seconds\": %s, \"phases\": { %s }, \"counters\": { %s } }"
-          (num r.traced.traced_seconds) phases counters
-      in
-      let pricing_ab =
-        Printf.sprintf
-          "{ \"complete\": %s, \"global\": %s }"
-          (pricing_pair ~dantzig:r.complete_dz ~devex:r.complete)
-          (pricing_pair ~dantzig:r.global_dz ~devex:r.global)
-      in
-      let cuts_ab =
-        Printf.sprintf
-          "{ \"complete\": %s, \"global\": %s }"
-          (cuts_pair ~baseline:r.complete_base ~full:r.complete)
-          (cuts_pair ~baseline:r.global_base ~full:r.global)
-      in
-      let hypersparse_ab =
-        Printf.sprintf
-          "{ \"complete\": %s, \"global\": %s }"
-          (hypersparse_pair ~dense:r.complete_dlu ~sparse:r.complete_slu)
-          (hypersparse_pair ~dense:r.global_dlu ~sparse:r.global_slu)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"segments\": %d, \"banks\": %d, \"ports\": %d, \"configs\": %d,\n\
-           \      \"complete\": %s,\n\
-           \      \"global\": %s,\n\
-           \      \"global_parallel\": %s,\n\
-           \      \"global_traced\": %s,\n\
-           \      \"pricing_ab\": %s,\n\
-           \      \"cuts_ab\": %s,\n\
-           \      \"hypersparse_ab\": %s,\n\
-           \      \"complete_dense_baseline_60s\": %s }%s\n"
-           spec.Mm_workload.Gen.segments spec.Mm_workload.Gen.banks
-           spec.Mm_workload.Gen.ports spec.Mm_workload.Gen.configs
-           (cell r.complete) (cell r.global) (par_cell r.global_par) traced
-           pricing_ab cuts_ab hypersparse_ab dense
-           (if i < List.length rows - 1 then "," else ""))
-    )
-    rows;
-  Buffer.add_string buf "  ],\n";
-  (* A/B overhead cell: the untraced leg runs with tracing disabled (the
-     no-op sink), the traced leg with a live trace; their totals bound
-     the cost of both paths. *)
-  let untraced_total =
-    List.fold_left
-      (fun acc r ->
-        if Float.is_nan r.global.seconds then acc else acc +. r.global.seconds)
-      0.0 rows
-  and traced_total =
-    List.fold_left (fun acc r -> acc +. r.traced.traced_seconds) 0.0 rows
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"trace_ab\": { \"untraced_global_seconds\": %s, \
-        \"traced_global_seconds\": %s, \"overhead_pct\": %s }\n"
-       (num untraced_total) (num traced_total)
-       (if untraced_total > 0.0 then
-          Printf.sprintf "%.2f"
-            (100.0 *. (traced_total -. untraced_total) /. untraced_total)
-        else "null"));
-  Buffer.add_string buf "}\n";
-  let oc = open_out "BENCH_lp.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  line "wrote BENCH_lp.json (%d points)" (List.length rows)
-
-let fmt_time seconds optimal =
-  if Float.is_nan seconds then "failed"
-  else if optimal then Printf.sprintf "%.2f" seconds
-  else Printf.sprintf "%.2f*" seconds
 
 let run_table3 () =
   header "Table 3: ILP execution times, complete vs global/detailed";
   line "(measured on this machine; paper: CPLEX on a 248 MHz Sun Ultra-30.";
-  line " '*' marks a run that hit the %.0f s cap before proving optimality;" (quick_cap ());
-  line " absolute values differ, the complete-vs-global shape is the claim)";
+  line " '*' marks a run that hit the %.0f s cap before proving optimality,"
+    (Record.cap ());
+  line " 'failed' one that found no incumbent; absolute values differ, the";
+  line " complete-vs-global shape is the claim)";
   let rows = measure_table3 () in
   let t =
     Table.create
@@ -742,7 +618,7 @@ let run_table3 () =
         ("#configs", Table.Right);
         ("complete (s)", Table.Right);
         ("global (s)", Table.Right);
-        (Printf.sprintf "global -j%d (s)" bench_parallelism, Table.Right);
+        (Printf.sprintf "global -j%d (s)" Record.parallelism, Table.Right);
         ("ratio", Table.Right);
         ("paper complete", Table.Right);
         ("paper global", Table.Right);
@@ -760,127 +636,34 @@ let run_table3 () =
           string_of_int spec.Mm_workload.Gen.banks;
           string_of_int spec.Mm_workload.Gen.ports;
           string_of_int spec.Mm_workload.Gen.configs;
-          fmt_time r.complete.seconds r.complete.optimal;
-          fmt_time r.global.seconds r.global.optimal;
-          fmt_time r.global_par.seconds r.global_par.optimal;
-          (if Float.is_nan r.complete.seconds || Float.is_nan r.global.seconds
-           then "-"
-           else Printf.sprintf "%.1fx" (r.complete.seconds /. Float.max r.global.seconds 1e-6));
+          fmt_time r.complete;
+          fmt_time r.global;
+          fmt_time r.global_par;
+          Printf.sprintf "%.1fx"
+            (r.complete.seconds /. Float.max r.global.seconds 1e-6);
           Printf.sprintf "%.1f" pc;
           Printf.sprintf "%.1f" pg;
           Printf.sprintf "%.1fx" (pc /. pg);
         ])
     rows;
   Table.print t;
-  line "";
-  line "Pricing A/B (serial legs, same budget; pivots incl. bound flips):";
-  let pt =
-    Table.create
-      [
-        ("#segs", Table.Right);
-        ("complete dantzig", Table.Right);
-        ("complete devex", Table.Right);
-        ("reduction", Table.Right);
-        ("global dantzig", Table.Right);
-        ("global devex", Table.Right);
-      ]
-  in
   List.iter
-    (fun r ->
-      let reduction =
-        if r.complete_dz.optimal && r.complete.optimal
-           && r.complete_dz.pivots > 0
-        then
-          Printf.sprintf "%.0f%%"
-            (100.0
-            *. float_of_int (r.complete_dz.pivots - r.complete.pivots)
-            /. float_of_int r.complete_dz.pivots)
-        else "-"
-      in
-      Table.add_row pt
-        [
-          string_of_int r.point.Mm_workload.Table3.spec.Mm_workload.Gen.segments;
-          string_of_int r.complete_dz.pivots;
-          string_of_int r.complete.pivots;
-          reduction;
-          string_of_int r.global_dz.pivots;
-          string_of_int r.global.pivots;
-        ])
-    rows;
-  Table.print pt;
-  line "";
-  line "Cuts A/B, complete formulation (cover-only root vs full pool +";
-  line "node cuts + GUB diving; same budget, serial):";
-  let ct =
-    Table.create
-      [
-        ("#segs", Table.Right);
-        ("cover-only nodes", Table.Right);
-        ("full-pool nodes", Table.Right);
-        ("reduction", Table.Right);
-        ("cuts (root/node/drop)", Table.Right);
-        ("incumbent", Table.Left);
-      ]
-  in
-  List.iter
-    (fun r ->
-      let base = r.complete_base and full = r.complete in
-      let reduction =
-        if base.optimal && full.optimal && base.nodes > 0 then
-          Printf.sprintf "%.0f%%"
-            (100.0
-            *. float_of_int (base.nodes - full.nodes)
-            /. float_of_int base.nodes)
-        else "-"
-      in
-      Table.add_row ct
-        [
-          string_of_int r.point.Mm_workload.Table3.spec.Mm_workload.Gen.segments;
-          string_of_int base.nodes;
-          string_of_int full.nodes;
-          reduction;
-          Printf.sprintf "%d/%d/%d" full.cuts_root full.cuts_node
-            full.cuts_dropped;
-          full.incumbent;
-        ])
-    rows;
-  Table.print ct;
-  line "";
-  line "Hypersparse LU A/B, complete formulation (forced-dense FTRAN/BTRAN";
-  line "vs forced-hypersparse with density fallback; identical pivot";
-  line "trajectory — the production Auto kernel runs dense at these sizes):";
-  let ht =
-    Table.create
-      [
-        ("#segs", Table.Right);
-        ("dense (s)", Table.Right);
-        ("sparse (s)", Table.Right);
-        ("speedup", Table.Right);
-        ("pivots", Table.Right);
-        ("solves (sparse/fallback)", Table.Right);
-      ]
-  in
-  List.iter
-    (fun r ->
-      let dn = r.complete_dlu and sp = r.complete_slu in
-      let speedup =
-        if dn.optimal && sp.optimal && sp.seconds > 0.0 then
-          Printf.sprintf "%.2fx" (dn.seconds /. sp.seconds)
-        else "-"
-      in
-      Table.add_row ht
-        [
-          string_of_int r.point.Mm_workload.Table3.spec.Mm_workload.Gen.segments;
-          fmt_time dn.seconds dn.optimal;
-          fmt_time sp.seconds sp.optimal;
-          speedup;
-          (if sp.pivots = dn.pivots then string_of_int sp.pivots
-           else Printf.sprintf "%d!=%d" sp.pivots dn.pivots);
-          Printf.sprintf "%d/%d" sp.sparse_solves sp.dense_fallbacks;
-        ])
-    rows;
-  Table.print ht;
-  write_bench_json rows
+    (fun ab ->
+      line "";
+      line "%s: %s vs %s (serial legs, same budget):" ab.key (fst ab.base)
+        (fst ab.cand);
+      print_ab ab [ "#segs"; "formulation" ]
+        (List.concat_map
+           (fun r ->
+             let segs =
+               string_of_int
+                 r.point.Mm_workload.Table3.spec.Mm_workload.Gen.segments
+             in
+             List.map (fun (form, b, c) -> ([ segs; form ], b, c))
+               (List.assoc ab.key r.abs))
+           rows))
+    ab_arms;
+  Record.write ~experiment:"table3" (table3_record rows)
 
 let run_fig4 () =
   header "Fig. 4: complete versus global/detailed execution times";
@@ -889,9 +672,7 @@ let run_fig4 () =
     {
       Ascii_plot.label;
       glyph;
-      points =
-        List.filteri (fun _ r -> not (Float.is_nan (f r))) rows
-        |> List.mapi (fun i r -> (float_of_int i, f r));
+      points = List.mapi (fun i r -> (float_of_int i, f r)) rows;
     }
   in
   print_string
@@ -929,7 +710,7 @@ let run_ablation_link () =
         ("nodes", Table.Right);
       ]
   in
-  let cap = if !full_mode then 300.0 else 30.0 in
+  let cap = if !Record.full_mode then 300.0 else 30.0 in
   let opts = Mm_lp.Solver.quick_options ~time_limit:cap () in
   List.iteri
     (fun i (point : Mm_workload.Table3.point) ->
@@ -1286,229 +1067,36 @@ let run_ablation_arbitration () =
   line "the paper's model must spill entire phases to off-chip SRAM."
 
 (* ------------------------------------------------------------------ *)
-(* Pricing smoke (CI leg)                                               *)
+(* A/B smokes (CI legs)                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One small Table-3 point under both pricing strategies, recorded as a
-   minimal BENCH_lp.json. Exits nonzero when devex and dantzig prove
-   different objectives — the CI guard for the pricing engine. Not part
-   of the default experiment set (it would overwrite the full sweep's
-   BENCH_lp.json); run it by name. *)
-let run_pricing_smoke () =
-  header "Pricing smoke: Table-3 point 0, dantzig vs devex";
-  let point = List.hd Mm_workload.Table3.points in
-  let spec = point.Mm_workload.Table3.spec in
+(* One A/B arm on the smallest Table-3 point, recorded on its own.
+   Exits nonzero when the two configurations prove different objectives
+   or either finds none: a pricing bug or an invalid cut shows up as a
+   changed optimum.  pricing-smoke runs [pricing_ab], cuts-smoke
+   [cuts_ab]. *)
+let ab_smoke ~experiment ab () =
+  header
+    (Printf.sprintf "%s: Table-3 point 0, %s vs %s" experiment (fst ab.base)
+       (fst ab.cand));
+  let spec = (List.hd Mm_workload.Table3.points).Mm_workload.Table3.spec in
   let board, design = Mm_workload.Gen.instance spec in
-  let cap = quick_cap () in
-  let measure method_ pricing =
-    let opts =
-      Mm_mapping.Mapper.options
-        ~solver_options:
-          (Mm_lp.Config.make ~time_limit:cap ~pricing ())
-        ()
-    in
-    let t0 = Unix.gettimeofday () in
-    match Mm_mapping.Mapper.run ~method_ ~options:opts board design with
-    | Ok o ->
-        cell_of_outcome
-          (o.Mm_mapping.Mapper.ilp_seconds
-          +. o.Mm_mapping.Mapper.detailed_seconds)
-          o
-    | Error _ -> failed_cell (Unix.gettimeofday () -. t0)
-  in
-  let results =
+  let pairs =
     List.map
-      (fun (name, m) ->
-        (name, measure m Mm_lp.Simplex.Dantzig, measure m Mm_lp.Simplex.Devex))
-      [
-        ("global", Mm_mapping.Mapper.Global_detailed);
-        ("complete", Mm_mapping.Mapper.Complete_flat);
-      ]
+      (fun (form, method_) ->
+        let run (_, config) = measure ~method_ config board design in
+        let b = run ab.base in
+        (form, b, run ab.cand))
+      formulations
   in
-  let t =
-    Table.create
-      [
-        ("formulation", Table.Left);
-        ("pricing", Table.Left);
-        ("time (s)", Table.Right);
-        ("pivots", Table.Right);
-        ("objective", Table.Right);
-      ]
-  in
-  List.iter
-    (fun (name, dz, dx) ->
-      List.iter
-        (fun (pn, (c : t3_cell)) ->
-          Table.add_row t
-            [
-              name;
-              pn;
-              fmt_time c.seconds c.optimal;
-              string_of_int c.pivots;
-              (match c.objective with
-              | Some o -> Printf.sprintf "%.0f" o
-              | None -> "-");
-            ])
-        [ ("dantzig", dz); ("devex", dx) ])
-    results;
-  Table.print t;
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "{\n  \"benchmark\": \"pricing smoke (table3 point 0)\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"time_cap_seconds\": %.1f,\n" cap);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"segments\": %d, \"banks\": %d, \"ports\": %d, \"configs\": %d,\n"
-       spec.Mm_workload.Gen.segments spec.Mm_workload.Gen.banks
-       spec.Mm_workload.Gen.ports spec.Mm_workload.Gen.configs);
-  Buffer.add_string buf "  \"pricing_ab\": {\n";
-  List.iteri
-    (fun i (name, dz, dx) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %s%s\n" name
-           (pricing_pair ~dantzig:dz ~devex:dx)
-           (if i < List.length results - 1 then "," else "")))
-    results;
-  Buffer.add_string buf "  }\n}\n";
-  let oc = open_out "BENCH_lp.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  line "wrote BENCH_lp.json (pricing smoke)";
-  let mismatched =
-    List.filter
-      (fun ((_, dz, dx) : string * t3_cell * t3_cell) ->
-        match (dz.objective, dx.objective) with
-        | Some a, Some b -> Float.abs (a -. b) > 1e-6
-        | _ -> true)
-      results
-  in
-  if mismatched <> [] then begin
-    List.iter
-      (fun ((name, dz, dx) : string * t3_cell * t3_cell) ->
-        let obj = function
-          | Some o -> Printf.sprintf "%g" o
-          | None -> "none"
-        in
-        Printf.eprintf
-          "pricing-smoke: %s objective mismatch: dantzig %s vs devex %s\n"
-          name (obj dz.objective) (obj dx.objective))
-      mismatched;
-    exit 1
-  end
-  else line "devex and dantzig agree on every objective."
-
-(* ------------------------------------------------------------------ *)
-(* Cuts smoke (CI leg)                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The smallest Table-3 point under the full cut pool + GUB diving
-   heuristic versus the root-cover-only baseline, recorded as a minimal
-   BENCH_lp.json. Exits nonzero when the two configurations prove
-   different objectives — the CI guard for cut validity (an invalid cut
-   shows up as a changed optimum). Run-by-name only, like
-   pricing-smoke. *)
-let run_cuts_smoke () =
-  header "Cuts smoke: Table-3 point 0, cover-only baseline vs full pool";
-  let point = List.hd Mm_workload.Table3.points in
-  let spec = point.Mm_workload.Table3.spec in
-  let board, design = Mm_workload.Gen.instance spec in
-  let cap = quick_cap () in
-  let measure method_ solver_options =
-    let opts = Mm_mapping.Mapper.options ~solver_options () in
-    let t0 = Unix.gettimeofday () in
-    match Mm_mapping.Mapper.run ~method_ ~options:opts board design with
-    | Ok o ->
-        cell_of_outcome
-          (o.Mm_mapping.Mapper.ilp_seconds
-          +. o.Mm_mapping.Mapper.detailed_seconds)
-          o
-    | Error _ -> failed_cell (Unix.gettimeofday () -. t0)
-  in
-  let results =
-    List.map
-      (fun (name, m) ->
-        ( name,
-          measure m (Mm_lp.Solver.baseline_options ~time_limit:cap ()),
-          measure m (Mm_lp.Solver.quick_options ~time_limit:cap ()) ))
-      [
-        ("global", Mm_mapping.Mapper.Global_detailed);
-        ("complete", Mm_mapping.Mapper.Complete_flat);
-      ]
-  in
-  let t =
-    Table.create
-      [
-        ("formulation", Table.Left);
-        ("cuts", Table.Left);
-        ("time (s)", Table.Right);
-        ("nodes", Table.Right);
-        ("cuts (root/node/drop)", Table.Right);
-        ("incumbent", Table.Left);
-        ("objective", Table.Right);
-      ]
-  in
-  List.iter
-    (fun (name, base, full) ->
-      List.iter
-        (fun (cn, (c : t3_cell)) ->
-          Table.add_row t
-            [
-              name;
-              cn;
-              fmt_time c.seconds c.optimal;
-              string_of_int c.nodes;
-              Printf.sprintf "%d/%d/%d" c.cuts_root c.cuts_node c.cuts_dropped;
-              c.incumbent;
-              (match c.objective with
-              | Some o -> Printf.sprintf "%.0f" o
-              | None -> "-");
-            ])
-        [ ("cover-only", base); ("full pool", full) ])
-    results;
-  Table.print t;
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n  \"benchmark\": \"cuts smoke (table3 point 0)\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"time_cap_seconds\": %.1f,\n" cap);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"segments\": %d, \"banks\": %d, \"ports\": %d, \"configs\": %d,\n"
-       spec.Mm_workload.Gen.segments spec.Mm_workload.Gen.banks
-       spec.Mm_workload.Gen.ports spec.Mm_workload.Gen.configs);
-  Buffer.add_string buf "  \"cuts_ab\": {\n";
-  List.iteri
-    (fun i (name, base, full) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %s%s\n" name
-           (cuts_pair ~baseline:base ~full)
-           (if i < List.length results - 1 then "," else "")))
-    results;
-  Buffer.add_string buf "  }\n}\n";
-  let oc = open_out "BENCH_lp.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  line "wrote BENCH_lp.json (cuts smoke)";
-  let mismatched =
-    List.filter
-      (fun ((_, base, full) : string * t3_cell * t3_cell) ->
-        match (base.objective, full.objective) with
-        | Some a, Some b -> Float.abs (a -. b) > 1e-6
-        | _ -> true)
-      results
-  in
-  if mismatched <> [] then begin
-    List.iter
-      (fun ((name, base, full) : string * t3_cell * t3_cell) ->
-        let obj = function
-          | Some o -> Printf.sprintf "%g" o
-          | None -> "none"
-        in
-        Printf.eprintf
-          "cuts-smoke: %s objective mismatch: cover-only %s vs full pool %s\n"
-          name (obj base.objective) (obj full.objective))
-      mismatched;
-    exit 1
-  end
-  else line "cover-only and full-pool configurations agree on every objective."
+  print_ab ab [ "formulation" ]
+    (List.map (fun (f, b, c) -> ([ f ], b, c)) pairs);
+  Record.write ~experiment (spec_fields spec @ [ (ab.key, ab_json ab pairs) ]);
+  match objective_mismatches ~strict:true (ab_checks ab pairs) with
+  | [] -> line "%s and %s agree on every objective." (fst ab.base) (fst ab.cand)
+  | ms ->
+      List.iter (Printf.eprintf "%s: %s\n" experiment) ms;
+      exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Serve smoke (CI leg)                                                 *)
@@ -1517,17 +1105,16 @@ let run_cuts_smoke () =
 (* The mapping service's warm-start A/B: repeat the smallest Table-3
    point through [Mm_service.Engine] — the exact path [mmap serve]
    workers run — and compare the cold first solve against the
-   cache-warmed repeats. Recorded as the serve_warm_ab cell of a
-   minimal BENCH_lp.json. Exits nonzero when a repeat misses the cache
-   or warm and cold objectives disagree (a warm start must accelerate
-   the search, never change the optimum). *)
+   cache-warmed repeats, recorded as the serve_warm_ab cell. Exits
+   nonzero when a repeat misses the cache or warm and cold objectives
+   disagree (a warm start must accelerate the search, never change the
+   optimum). *)
 let run_serve_smoke () =
   header "Serve smoke: warm-vs-cold through the service engine";
   let point = List.hd Mm_workload.Table3.points in
   let spec = point.Mm_workload.Table3.spec in
   let board, design = Mm_workload.Gen.instance spec in
-  let cap = quick_cap () in
-  let knobs = Mm_lp.Config.make ~time_limit:cap () in
+  let knobs = Mm_lp.Config.make ~time_limit:(Record.cap ()) () in
   let engine = Mm_service.Engine.create () in
   let req = Mm_service.Request.make ~id:"bench" ~knobs board design in
   let repeats = 4 in
@@ -1595,38 +1182,30 @@ let run_serve_smoke () =
       100.0 *. (float_of_int cold_piv -. warm_piv) /. float_of_int cold_piv
     else 0.0
   in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "{\n  \"benchmark\": \"serve smoke (table3 point 0)\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"time_cap_seconds\": %.1f,\n" cap);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"segments\": %d, \"banks\": %d, \"ports\": %d, \"configs\": %d,\n"
-       spec.Mm_workload.Gen.segments spec.Mm_workload.Gen.banks
-       spec.Mm_workload.Gen.ports spec.Mm_workload.Gen.configs);
-  let opt_num = function
-    | Some v -> Printf.sprintf "%.3f" v
-    | None -> "null"
-  in
-  Buffer.add_string buf "  \"serve_warm_ab\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"cold\": { \"seconds\": %.3f, \"pivots\": %d, \"objective\": %s \
-        },\n"
-       cold_s cold_piv (opt_num cold_obj));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"warm\": { \"repeats\": %d, \"mean_seconds\": %.3f, \
-        \"mean_pivots\": %.1f, \"objective\": %s },\n"
-       (List.length warm) warm_s warm_piv
-       (opt_num (obj (List.hd warm))));
-  Buffer.add_string buf
-    (Printf.sprintf "    \"pivot_reduction_percent\": %.2f\n" reduction);
-  Buffer.add_string buf "  }\n}\n";
-  let oc = open_out "BENCH_lp.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  line "wrote BENCH_lp.json (serve smoke)";
+  Record.write ~experiment:"serve-smoke"
+    (spec_fields spec
+    @ [
+        ( "serve_warm_ab",
+          Mm_obs.Json.Obj
+            [
+              ( "cold",
+                Mm_obs.Json.Obj
+                  [
+                    ("seconds", Record.num cold_s);
+                    ("pivots", Record.int cold_piv);
+                    ("objective", Record.opt Record.num cold_obj);
+                  ] );
+              ( "warm",
+                Mm_obs.Json.Obj
+                  [
+                    ("repeats", Record.int (List.length warm));
+                    ("mean_seconds", Record.num warm_s);
+                    ("mean_pivots", Record.num ~digits:1 warm_piv);
+                    ("objective", Record.opt Record.num (obj (List.hd warm)));
+                  ] );
+              ("pivot_reduction_percent", Record.num ~digits:2 reduction);
+            ] );
+      ]);
   let misses =
     List.filter (fun (i, _, hit, _, _, _) -> i > 0 && not hit) shots
   in
@@ -1650,7 +1229,7 @@ let run_serve_smoke () =
     List.iter
       (fun shot ->
         Printf.eprintf "serve-smoke: warm objective %s differs from cold %s\n"
-          (opt_num (obj shot)) (opt_num cold_obj))
+          (fmt_obj (obj shot)) (fmt_obj cold_obj))
       mismatched;
     exit 1
   end;
@@ -1666,19 +1245,18 @@ let run_serve_smoke () =
    (max_batch 1) and once with coalescing (max_batch 8, 50 ms linger).
    Client-side latency is measured from the burst start to each
    response arrival; throughput is the burst size over the last
-   arrival. Recorded as the serve_batch_ab cell of a minimal
-   BENCH_lp.json. Exits nonzero when any response errors, when the two
-   arms disagree on any objective (coalescing must never change the
-   optimum), or when the batched arm fails to form a batch. *)
+   arrival. Recorded as the serve_batch_ab cell. Exits nonzero when any
+   response errors, when the two arms disagree on any objective
+   (coalescing must never change the optimum), or when the batched arm
+   fails to form a batch. *)
 let run_serve_batch_ab () =
   header "Serve batch A/B: coalesced burst vs FIFO through mmap serve";
   let point = List.hd Mm_workload.Table3.points in
   let spec = point.Mm_workload.Table3.spec in
   let board, design = Mm_workload.Gen.instance spec in
-  let cap = quick_cap () in
-  let knobs = Mm_lp.Config.make ~time_limit:cap () in
-  let burst = 12 in
-  let workers = 2 in
+  let knobs = Mm_lp.Config.make ~time_limit:(Record.cap ()) () in
+  let burst = 12 and workers = 2 in
+  let max_batch = 8 and linger_ms = 50. in
   let lines =
     List.init burst (fun i ->
         Mm_obs.Json.to_string
@@ -1810,7 +1388,7 @@ let run_serve_batch_ab () =
   in
   let unb_shots, _ = arm ~label:"unbatched" ~max_batch:1 ~batch_linger_ms:0. in
   let bat_shots, (formed, coalesced, warm_hits) =
-    arm ~label:"batched" ~max_batch:8 ~batch_linger_ms:50.
+    arm ~label:"batched" ~max_batch ~batch_linger_ms:linger_ms
   in
   let pctl shots q =
     let a = Array.of_list (List.map fst shots) in
@@ -1832,27 +1410,55 @@ let run_serve_batch_ab () =
         ("warm hits", Table.Right);
       ]
   in
-  Table.add_row t
-    [
-      "unbatched";
-      Printf.sprintf "%.2f" (rps unb_shots);
-      Printf.sprintf "%.3f" (pctl unb_shots 0.5);
-      Printf.sprintf "%.3f" (pctl unb_shots 0.99);
-      "0"; "0"; "0";
-    ];
-  Table.add_row t
-    [
-      "batched";
-      Printf.sprintf "%.2f" (rps bat_shots);
-      Printf.sprintf "%.3f" (pctl bat_shots 0.5);
-      Printf.sprintf "%.3f" (pctl bat_shots 0.99);
-      string_of_int formed;
-      string_of_int coalesced;
-      string_of_int warm_hits;
-    ];
+  let row label shots counters =
+    Table.add_row t
+      ([
+         label;
+         Printf.sprintf "%.2f" (rps shots);
+         Printf.sprintf "%.3f" (pctl shots 0.5);
+         Printf.sprintf "%.3f" (pctl shots 0.99);
+       ]
+      @ List.map string_of_int counters)
+  in
+  row "unbatched" unb_shots [ 0; 0; 0 ];
+  row "batched" bat_shots [ formed; coalesced; warm_hits ];
   Table.print t;
   let objectives = List.map snd (unb_shots @ bat_shots) in
   let obj0 = List.hd objectives in
+  let arm_cell shots extra =
+    Mm_obs.Json.Obj
+      (extra
+      @ [
+          ("req_per_s", Record.num (rps shots));
+          ("p50_s", Record.num ~digits:4 (pctl shots 0.5));
+          ("p99_s", Record.num ~digits:4 (pctl shots 0.99));
+        ])
+  in
+  Record.write ~experiment:"serve-batch-ab"
+    [
+      ("burst", Record.int burst);
+      ("workers", Record.int workers);
+      ( "serve_batch_ab",
+        Mm_obs.Json.Obj
+          [
+            ("unbatched", arm_cell unb_shots []);
+            ( "batched",
+              arm_cell bat_shots
+                [
+                  ("max_batch", Record.int max_batch);
+                  ("linger_ms", Record.num linger_ms);
+                  ("batches_formed", Record.int formed);
+                  ("coalesced_requests", Record.int coalesced);
+                  ("batch_warm_hits", Record.int warm_hits);
+                ] );
+            ("objective", Record.num obj0);
+            ( "throughput_gain_percent",
+              Record.num ~digits:2
+                (100.
+                *. (rps bat_shots -. rps unb_shots)
+                /. Float.max 1e-9 (rps unb_shots)) );
+          ] );
+    ];
   let drifted = List.filter (fun o -> Float.abs (o -. obj0) > 1e-6) objectives in
   if drifted <> [] then begin
     List.iter
@@ -1868,36 +1474,6 @@ let run_serve_batch_ab () =
        short for this machine?)\n";
     exit 1
   end;
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "{\n  \"benchmark\": \"serve batch A/B (table3 point 0)\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"time_cap_seconds\": %.1f,\n" cap);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"burst\": %d, \"workers\": %d,\n" burst workers);
-  Buffer.add_string buf "  \"serve_batch_ab\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"unbatched\": { \"req_per_s\": %.3f, \"p50_s\": %.4f, \
-        \"p99_s\": %.4f },\n"
-       (rps unb_shots) (pctl unb_shots 0.5) (pctl unb_shots 0.99));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"batched\": { \"max_batch\": 8, \"linger_ms\": 50, \
-        \"req_per_s\": %.3f, \"p50_s\": %.4f, \"p99_s\": %.4f, \
-        \"batches_formed\": %d, \"coalesced_requests\": %d, \
-        \"batch_warm_hits\": %d },\n"
-       (rps bat_shots) (pctl bat_shots 0.5) (pctl bat_shots 0.99) formed
-       coalesced warm_hits);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"objective\": %.3f,\n" obj0);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"throughput_gain_percent\": %.2f\n"
-       (100. *. (rps bat_shots -. rps unb_shots) /. Float.max 1e-9 (rps unb_shots)));
-  Buffer.add_string buf "  }\n}\n";
-  let oc = open_out "BENCH_lp.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  line "wrote BENCH_lp.json (serve batch A/B)";
   line
     "both arms agree on the objective; batched arm formed %d batches \
      (%d coalesced, %d warm hits)."
@@ -1912,7 +1488,7 @@ let run_serve_batch_ab () =
    largest): each [Gen.scale_tier] instance is generated, frozen into
    the global ILP and solved under a per-tier wall-clock cap, and the
    resulting nodes/pivots/seconds curve is recorded as the scaling cell
-   of a minimal BENCH_lp.json. Run-by-name (CI's scaling leg).
+   (CI's scaling leg).
 
    Regression thresholds, all deliberately loose — they catch
    complexity-class regressions (an accidentally quadratic generator,
@@ -1925,9 +1501,9 @@ let run_serve_batch_ab () =
      floor. *)
 let run_scaling () =
   header "Scaling: generator + LP core beyond the Table-3 envelope";
-  let cap = quick_cap () in
+  let cap = Record.cap () in
   let tiers =
-    if !full_mode then Mm_workload.Gen.scale_tiers
+    if !Record.full_mode then Mm_workload.Gen.scale_tiers
     else List.filteri (fun i _ -> i < 3) Mm_workload.Gen.scale_tiers
   in
   let shots =
@@ -1945,7 +1521,7 @@ let run_scaling () =
             let model_seconds = Unix.gettimeofday () -. t0 in
             let options =
               Mm_lp.Solver.quick_options ~time_limit:cap
-                ~parallelism:bench_parallelism ()
+                ~parallelism:Record.parallelism ()
             in
             let r = Mm_lp.Solver.solve ~options p in
             let mip = r.Mm_lp.Solver.mip in
@@ -1957,7 +1533,7 @@ let run_scaling () =
                it, and reads ~1.0x on the small tiers. *)
             let options_dlu =
               Mm_lp.Config.make ~time_limit:cap
-                ~parallelism:bench_parallelism ~lu_kernel:Mm_lp.Lu.Dense ()
+                ~parallelism:Record.parallelism ~lu_kernel:Mm_lp.Lu.Dense ()
             in
             let rd = Mm_lp.Solver.solve ~options:options_dlu p in
             (tier, p, model_seconds, r, mip, rd))
@@ -2018,46 +1594,43 @@ let run_scaling () =
      parallelism 2) sustains ~325 pivots/s under either kernel, so 250
      leaves headroom for machine noise while still catching a fallback
      to pre-hypersparse per-pass cost. *)
-  let model_budget = if !full_mode then 120.0 else 30.0 in
+  let model_budget = if !Record.full_mode then 120.0 else 30.0 in
   let throughput_floor = 250.0 in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"benchmark\": \"scaling (Gen.scale_tiers)\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"time_cap_seconds\": %.1f,\n" cap);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"parallelism\": %d,\n" bench_parallelism);
-  Buffer.add_string buf "  \"scaling\": [\n";
-  List.iteri
-    (fun i ((tier : Mm_workload.Gen.tier), p, model_seconds, r, mip, rd) ->
-      let spec = tier.Mm_workload.Gen.spec in
-      let dmip = rd.Mm_lp.Solver.mip in
-      let lp = r.Mm_lp.Solver.stats.Mm_lp.Solver.lp in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"tier\": %S, \"segments\": %d, \"banks\": %d, \"ports\": \
-            %d, \"configs\": %d, \"vars\": %d, \"rows\": %d, \
-            \"model_seconds\": %.3f, \"solve_seconds\": %.3f, \"nodes\": %d, \
-            \"pivots\": %d, \"pivots_per_second\": %.1f, \"sparse_solves\": \
-            %d, \"dense_fallbacks\": %d, \"status\": %S,\n\
-           \      \"hypersparse_ab\": { \"dense_solve_seconds\": %.3f, \
-            \"dense_pivots\": %d, \"dense_pivots_per_second\": %.1f, \
-            \"dense_status\": %S } }%s\n"
-           tier.Mm_workload.Gen.tier_name spec.Mm_workload.Gen.segments
-           spec.Mm_workload.Gen.banks spec.Mm_workload.Gen.ports
-           spec.Mm_workload.Gen.configs p.Mm_lp.Problem.ncols
-           p.Mm_lp.Problem.nrows model_seconds mip.Mm_lp.Branch_bound.time
-           mip.Mm_lp.Branch_bound.nodes lp.Mm_lp.Simplex.pivots
-           (pivots_per_second r) lp.Mm_lp.Simplex.sparse_solves
-           lp.Mm_lp.Simplex.dense_fallbacks (status_name mip)
-           dmip.Mm_lp.Branch_bound.time
-           rd.Mm_lp.Solver.stats.Mm_lp.Solver.lp.Mm_lp.Simplex.pivots
-           (pivots_per_second rd) (status_name dmip)
-           (if i = List.length shots - 1 then "" else ",")))
-    shots;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out "BENCH_lp.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  line "wrote BENCH_lp.json (scaling, %d tiers)" (List.length shots);
+  let tier_cell ((tier : Mm_workload.Gen.tier), p, model_seconds, r, mip, rd)
+      =
+    let lp = r.Mm_lp.Solver.stats.Mm_lp.Solver.lp in
+    let dmip = rd.Mm_lp.Solver.mip in
+    Mm_obs.Json.Obj
+      ((("tier", Mm_obs.Json.Str tier.Mm_workload.Gen.tier_name)
+       :: spec_fields tier.Mm_workload.Gen.spec)
+      @ [
+          ("vars", Record.int p.Mm_lp.Problem.ncols);
+          ("rows", Record.int p.Mm_lp.Problem.nrows);
+          ("model_seconds", Record.num model_seconds);
+          ("solve_seconds", Record.num mip.Mm_lp.Branch_bound.time);
+          ("nodes", Record.int mip.Mm_lp.Branch_bound.nodes);
+          ("pivots", Record.int lp.Mm_lp.Simplex.pivots);
+          ("pivots_per_second", Record.num ~digits:1 (pivots_per_second r));
+          ("sparse_solves", Record.int lp.Mm_lp.Simplex.sparse_solves);
+          ("dense_fallbacks", Record.int lp.Mm_lp.Simplex.dense_fallbacks);
+          ("status", Mm_obs.Json.Str (status_name mip));
+          ( "hypersparse_ab",
+            Mm_obs.Json.Obj
+              [
+                ( "dense_solve_seconds",
+                  Record.num dmip.Mm_lp.Branch_bound.time );
+                ( "dense_pivots",
+                  Record.int
+                    rd.Mm_lp.Solver.stats.Mm_lp.Solver.lp.Mm_lp.Simplex.pivots
+                );
+                ( "dense_pivots_per_second",
+                  Record.num ~digits:1 (pivots_per_second rd) );
+                ("dense_status", Mm_obs.Json.Str (status_name dmip));
+              ] );
+        ])
+  in
+  Record.write ~experiment:"scaling"
+    [ ("scaling", Mm_obs.Json.List (List.map tier_cell shots)) ];
   let failures = ref [] in
   List.iter
     (fun ((tier : Mm_workload.Gen.tier), _, model_seconds, r, mip, _) ->
@@ -2207,8 +1780,8 @@ let experiments =
     ("ablation-overlap", run_ablation_overlap);
     ("ablation-portmodel", run_ablation_portmodel);
     ("ablation-arbitration", run_ablation_arbitration);
-    ("pricing-smoke", run_pricing_smoke);
-    ("cuts-smoke", run_cuts_smoke);
+    ("pricing-smoke", ab_smoke ~experiment:"pricing-smoke" pricing_ab);
+    ("cuts-smoke", ab_smoke ~experiment:"cuts-smoke" cuts_ab);
     ("serve-smoke", run_serve_smoke);
     ("serve-batch-ab", run_serve_batch_ab);
     ("scaling", run_scaling);
@@ -2220,8 +1793,8 @@ let () =
     (fun i arg ->
       if i > 0 then
         match arg with
-        | "--full" -> full_mode := true
-        | "--quick" -> full_mode := false
+        | "--full" -> Record.full_mode := true
+        | "--quick" -> Record.full_mode := false
         | name when List.mem_assoc name experiments ->
             requested := name :: !requested
         | name ->
@@ -2232,16 +1805,14 @@ let () =
   let to_run =
     match List.rev !requested with
     | [] ->
-        (* the smoke legs are run-by-name only: each writes its own
-           minimal BENCH_lp.json and would clobber the table3 sweep's
-           record *)
+        (* each experiment writes its own record, so this skip is only a
+           runtime saving: the two A/B smokes re-run the pricing_ab and
+           cuts_ab legs of table3's point 0; run them by name *)
         List.filter
-          (fun n ->
-            n <> "pricing-smoke" && n <> "cuts-smoke" && n <> "scaling"
-            && n <> "serve-batch-ab")
+          (fun n -> n <> "pricing-smoke" && n <> "cuts-smoke")
           (List.map fst experiments)
     | names -> names
   in
   line "Memory-mapping evaluation harness (%s mode)"
-    (if !full_mode then "full" else "quick");
+    (if !Record.full_mode then "full" else "quick");
   List.iter (fun name -> (List.assoc name experiments) ()) to_run

@@ -6,7 +6,7 @@ type point = {
 
 (* Seeds are pinned per point to the values the historical
    [1000 + segments + banks] formula produced, so the boards/designs —
-   and the BENCH_lp.json baselines recorded against them — regenerate
+   and the BENCH_table3.json baselines recorded against them — regenerate
    bit-identically. That formula collided for distinct points with equal
    sums; new specs should derive seeds via [Gen.make], which mixes all
    four fields. *)

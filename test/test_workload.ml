@@ -151,7 +151,7 @@ let test_derived_seeds_distinct () =
 
 let test_table3_seeds_pinned () =
   (* the nine paper points keep the seeds the old formula produced, so
-     recorded BENCH_lp.json baselines regenerate bit-identically *)
+     recorded BENCH_table3.json baselines regenerate bit-identically *)
   List.iter
     (fun (p : Table3.point) ->
       let s = p.Table3.spec in
