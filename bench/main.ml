@@ -313,18 +313,6 @@ let reduction f b c =
     Some (100.0 *. float_of_int (f b - f c) /. float_of_int (f b))
   else None
 
-(* devex pricing (the default) against the full-scan dantzig baseline *)
-let pricing_ab =
-  {
-    key = "pricing_ab";
-    base = ("dantzig", Mm_lp.Config.make ~pricing:Mm_lp.Simplex.Dantzig ());
-    cand = ("devex", Mm_lp.Config.default);
-    columns = [ seconds_col; pivots_col ];
-    headline =
-      ("pivot_reduction_pct", reduction (fun (c : Record.cell) -> c.pivots));
-    trajectory = false;
-  }
-
 (* the full cut pool with node cuts and GUB diving (the default) against
    the pre-pool configuration: knapsack covers at the root only *)
 let cuts_ab =
@@ -368,7 +356,7 @@ let hypersparse_ab =
     trajectory = true;
   }
 
-let ab_arms = [ pricing_ab; cuts_ab; hypersparse_ab ]
+let ab_arms = [ cuts_ab; hypersparse_ab ]
 
 (* A measured arm is one (formulation, baseline, candidate) triple per
    formulation. *)
@@ -479,7 +467,7 @@ let measure_table3 () =
               spec.Mm_workload.Gen.segments spec.Mm_workload.Gen.banks;
             let board, design = Mm_workload.Gen.instance spec in
             (* each (formulation, configuration) is solved once: the
-               default legs double as the devex and full-pool arms *)
+               default legs double as the full-pool arm *)
             let solved = ref [] in
             let leg method_ config =
               match List.assoc_opt (method_, config) !solved with
@@ -1072,9 +1060,8 @@ let run_ablation_arbitration () =
 
 (* One A/B arm on the smallest Table-3 point, recorded on its own.
    Exits nonzero when the two configurations prove different objectives
-   or either finds none: a pricing bug or an invalid cut shows up as a
-   changed optimum.  pricing-smoke runs [pricing_ab], cuts-smoke
-   [cuts_ab]. *)
+   or either finds none: an invalid cut shows up as a changed optimum.
+   cuts-smoke runs [cuts_ab]. *)
 let ab_smoke ~experiment ab () =
   header
     (Printf.sprintf "%s: Table-3 point 0, %s vs %s" experiment (fst ab.base)
@@ -1780,7 +1767,6 @@ let experiments =
     ("ablation-overlap", run_ablation_overlap);
     ("ablation-portmodel", run_ablation_portmodel);
     ("ablation-arbitration", run_ablation_arbitration);
-    ("pricing-smoke", ab_smoke ~experiment:"pricing-smoke" pricing_ab);
     ("cuts-smoke", ab_smoke ~experiment:"cuts-smoke" cuts_ab);
     ("serve-smoke", run_serve_smoke);
     ("serve-batch-ab", run_serve_batch_ab);
@@ -1806,11 +1792,9 @@ let () =
     match List.rev !requested with
     | [] ->
         (* each experiment writes its own record, so this skip is only a
-           runtime saving: the two A/B smokes re-run the pricing_ab and
-           cuts_ab legs of table3's point 0; run them by name *)
-        List.filter
-          (fun n -> n <> "pricing-smoke" && n <> "cuts-smoke")
-          (List.map fst experiments)
+           runtime saving: cuts-smoke re-runs the cuts_ab legs of
+           table3's point 0; run it by name *)
+        List.filter (fun n -> n <> "cuts-smoke") (List.map fst experiments)
     | names -> names
   in
   line "Memory-mapping evaluation harness (%s mode)"

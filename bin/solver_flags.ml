@@ -23,16 +23,6 @@ let parallelism_arg =
                $(b,0) uses all available cores. Any value proves the \
                same optimal objective.")
 
-let pricing_arg =
-  Arg.(value
-       & opt (enum [ ("devex", Mm_lp.Simplex.Devex);
-                     ("dantzig", Mm_lp.Simplex.Dantzig) ])
-           default.pricing
-       & info [ "pricing" ]
-           ~doc:"Simplex pricing strategy: $(b,devex) (default; reference \
-                 weights, partial pricing, bound flips) or $(b,dantzig) \
-                 (full-scan baseline). Both prove the same objective.")
-
 let lu_kernel_arg =
   Arg.(value
        & opt (enum
@@ -71,20 +61,19 @@ let no_heuristics_arg =
                before the tree search.")
 
 let term : Mm_lp.Config.t Term.t =
-  let make time_limit parallelism pricing lu_kernel cut_rounds
+  let make time_limit parallelism lu_kernel cut_rounds
       max_cuts_per_round no_cuts no_heuristics =
     Result.map_error
       (fun e -> `Msg ("solver flags: " ^ e))
       (Mm_lp.Config.check
-         (Mm_lp.Config.make ~parallelism ~pricing ~lu_kernel
+         (Mm_lp.Config.make ~parallelism ~lu_kernel
             ~cuts:(not no_cuts) ~cut_rounds ~max_cuts_per_round
             ~heuristics:(not no_heuristics) ?time_limit ()))
   in
   Term.(
     term_result
-      (const make $ time_limit_arg $ parallelism_arg $ pricing_arg
-      $ lu_kernel_arg $ cut_rounds_arg $ max_cuts_arg $ no_cuts_arg
-      $ no_heuristics_arg))
+      (const make $ time_limit_arg $ parallelism_arg $ lu_kernel_arg
+      $ cut_rounds_arg $ max_cuts_arg $ no_cuts_arg $ no_heuristics_arg))
 
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"

@@ -521,9 +521,7 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?cuts
     done
   in
   let make_workspace id =
-    let sx =
-      Simplex.create ~pricing:options.pricing ~lu_kernel:options.lu_kernel p
-    in
+    let sx = Simplex.create ~lu_kernel:options.lu_kernel p in
     Simplex.set_trace sx sinks.(id);
     {
       id;

@@ -112,7 +112,7 @@ val solve :
   Problem.t ->
   result
 (** [solve ?options ?cuts ?initial p] explores [p]'s tree under the
-    limits, tolerances, worker count, pricing, LU kernel and node-cut
+    limits, tolerances, worker count, LU kernel and node-cut
     gating of [options] (default {!Config.default}); its cut-loop
     fields are the pool's business. [?trace] (default disabled)
     gets one registered sink per worker domain, recording node,

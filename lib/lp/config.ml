@@ -9,7 +9,6 @@ type t = {
   separators : string list;
   heuristics : bool;
   parallelism : int;
-  pricing : Simplex.pricing;
   lu_kernel : Lu.kernel;
   time_limit : float option;
   node_limit : int option;
@@ -30,7 +29,6 @@ let default =
     separators = [ "cover"; "lcover"; "gmi" ];
     heuristics = true;
     parallelism = 1;
-    pricing = Simplex.Devex;
     lu_kernel = Lu.Auto;
     time_limit = None;
     node_limit = None;
@@ -46,9 +44,9 @@ let make ?(presolve = default.presolve) ?(cuts = default.cuts)
     ?(max_cuts_per_round = default.max_cuts_per_round)
     ?(cut_max_age = default.cut_max_age) ?(separators = default.separators)
     ?(heuristics = default.heuristics) ?(parallelism = default.parallelism)
-    ?(pricing = default.pricing) ?(lu_kernel = default.lu_kernel) ?time_limit
-    ?node_limit ?(gap_tol = default.gap_tol) ?(int_tol = default.int_tol)
-    ?log_every ?(node_cut_depth = default.node_cut_depth)
+    ?(lu_kernel = default.lu_kernel) ?time_limit ?node_limit
+    ?(gap_tol = default.gap_tol) ?(int_tol = default.int_tol) ?log_every
+    ?(node_cut_depth = default.node_cut_depth)
     ?(node_cut_freq = default.node_cut_freq) () =
   let or_default o d = match o with Some _ -> o | None -> d in
   {
@@ -60,7 +58,6 @@ let make ?(presolve = default.presolve) ?(cuts = default.cuts)
     separators;
     heuristics;
     parallelism;
-    pricing;
     lu_kernel;
     time_limit = or_default time_limit default.time_limit;
     node_limit = or_default node_limit default.node_limit;
@@ -237,10 +234,6 @@ let fields =
       (fun c -> c.heuristics)
       (fun c heuristics -> { c with heuristics })
       ~echo:"heuristics";
-    enum_field "pricing" ~echo:"pricing" Simplex.pricing_to_string
-      Simplex.pricing_of_string
-      (fun c -> c.pricing)
-      (fun c pricing -> { c with pricing });
     enum_field "lu_kernel" ~echo:"lu-kernel" Lu.kernel_to_string
       Lu.kernel_of_string
       (fun c -> c.lu_kernel)
@@ -282,11 +275,18 @@ let fields =
 let to_json c = J.Obj (List.map (fun f -> (f.key, f.encode c)) fields)
 
 let of_json j =
-  List.fold_left
-    (fun acc f ->
-      Result.bind acc (fun c ->
-          match J.member f.key j with None -> Ok c | Some v -> f.decode c v))
-    (Ok default) fields
+  let unknown (k, _) = not (List.exists (fun f -> f.key = k) fields) in
+  match j with
+  | J.Obj kvs when List.exists unknown kvs ->
+      Error (Printf.sprintf "unknown field %S" (fst (List.find unknown kvs)))
+  | _ ->
+      List.fold_left
+        (fun acc f ->
+          Result.bind acc (fun c ->
+              match J.member f.key j with
+              | None -> Ok c
+              | Some v -> f.decode c v))
+        (Ok default) fields
 
 let check c = Result.map (fun _ -> c) (of_json (to_json c))
 

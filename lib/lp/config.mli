@@ -28,9 +28,6 @@ type t = {
       (** branch-and-bound worker domains; [1] is the deterministic
           serial schedule, [<= 0] asks the runtime for
           [Domain.recommended_domain_count ()] *)
-  pricing : Simplex.pricing;
-      (** pricing of every simplex workspace (root cut loop,
-          heuristics, every tree worker) *)
   lu_kernel : Lu.kernel;
       (** FTRAN/BTRAN kernel of every simplex workspace; {!Lu.Auto}
           picks per basis size, {!Lu.Sparse}/{!Lu.Dense} force one path
@@ -53,8 +50,8 @@ type t = {
 
 val default : t
 (** Presolve on; covers, lifted covers and GMI cuts, 3 root rounds of
-    at most 50 cuts, aging after 8 loose solves; heuristics on; serial
-    Devex with the {!Lu.Auto} kernel; no limits; [gap_tol = 1e-9],
+    at most 50 cuts, aging after 8 loose solves; heuristics on; serial,
+    with the {!Lu.Auto} kernel; no limits; [gap_tol = 1e-9],
     [int_tol = 1e-6]; node cuts down to depth 2 at every 4th node. *)
 
 val make :
@@ -66,7 +63,6 @@ val make :
   ?separators:string list ->
   ?heuristics:bool ->
   ?parallelism:int ->
-  ?pricing:Simplex.pricing ->
   ?lu_kernel:Lu.kernel ->
   ?time_limit:float ->
   ?node_limit:int ->
@@ -93,7 +89,9 @@ val to_json : t -> Mm_obs.Json.t
 
 val of_json : Mm_obs.Json.t -> (t, string) result
 (** Decodes a configuration object: absent fields take {!default}'s
-    values, unknown keys are ignored. Malformed or out-of-range fields
+    values, and an unknown key is the error [unknown field "<key>"], so
+    a misspelt or retired knob never runs silently at its default.
+    Malformed or out-of-range fields
     are errors naming the field — among them [parallelism] outside
     [0 .. max_parallelism], negative [cut_rounds] or
     [max_cuts_per_round], [node_cut_freq < 1], [gap_tol] outside

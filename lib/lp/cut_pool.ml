@@ -239,10 +239,7 @@ let root_loop ?basis ?deadline ~snk t =
   let final =
     if rounds <= 0 || t.separators = [] then t.base
     else begin
-      let sx0 =
-        Simplex.create ~pricing:t.config.Config.pricing
-          ~lu_kernel:t.config.Config.lu_kernel t.base
-      in
+      let sx0 = Simplex.create ~lu_kernel:t.config.Config.lu_kernel t.base in
       (* warm restart: a basis cached from a previous solve of the same
          base problem replaces the slack basis before the first solve *)
       (match basis with

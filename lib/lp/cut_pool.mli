@@ -12,7 +12,7 @@ val create : ?options:Config.t -> Problem.t -> t
 (** A pool over a base problem (the presolved MIP, cut-free), running
     [options]' separators (default {!Config.default}) with its
     [cut_rounds], [max_cuts_per_round] and [cut_max_age]; the root
-    loop's simplex uses its [pricing] and [lu_kernel]. *)
+    loop's simplex uses its [lu_kernel]. *)
 
 type root_stats = {
   added : int;  (** cuts accepted across all root rounds *)

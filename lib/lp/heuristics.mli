@@ -32,7 +32,6 @@ val round_point :
 
 val run :
   ?deadline:float ->
-  pricing:Simplex.pricing ->
   ?lu_kernel:Lu.kernel ->
   snk:Mm_obs.Trace.sink ->
   Problem.t ->

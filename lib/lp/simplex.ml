@@ -20,15 +20,14 @@
    infeasibility is non-increasing and no new infeasibilities are
    created.
 
-   Pricing is pluggable. The default is Devex reference-framework
-   pricing over a rotating candidate-list window: each iteration scans
-   only the window of nonbasic columns, scoring d^2/w with per-column
-   reference weights updated on every basis change, and runs a full
-   scan only when the window prices out (which is also the only place
-   optimality is declared). The dual method prices leaving rows with
-   dual Devex row weights, checked against the exact row norm from
-   {!Lu.btran_unit} and reset on drift. Full-scan Dantzig pricing is
-   kept as the comparison baseline. The ratio test is a Harris-style
+   Pricing is Devex reference-framework pricing over a rotating
+   candidate-list window: each iteration scans only the window of
+   nonbasic columns, scoring d^2/w with per-column reference weights
+   updated on every basis change, and runs a full scan only when the
+   window prices out (which is also the only place optimality is
+   declared). The dual method prices leaving rows with dual Devex row
+   weights, checked against the exact row norm from {!Lu.btran_unit}
+   and reset on drift. The ratio test is a Harris-style
    two-pass: pass 1 finds the largest step with every blocking bound
    relaxed by [tols.harris], pass 2 picks the largest-magnitude pivot
    among blockers within that step; bounded columns whose opposite
@@ -36,14 +35,6 @@
    basis change. *)
 
 type result = Optimal | Infeasible | Unbounded | Iteration_limit
-type pricing = Dantzig | Devex
-
-let pricing_to_string = function Dantzig -> "dantzig" | Devex -> "devex"
-
-let pricing_of_string = function
-  | "dantzig" -> Some Dantzig
-  | "devex" -> Some Devex
-  | _ -> None
 
 (* Every numerical tolerance of the solver in one record, shared by the
    primal ratio test, the dual ratio test and the Harris passes (the
@@ -137,8 +128,6 @@ type t = {
      share the problem's arrays, slack column [n + r] is [-e_r] *)
   cidx : int array array;
   cval : float array array;
-  pricing : pricing;
-  lu_kernel : Lu.kernel;
   cost : float array;
   lb : float array;
   ub : float array;
@@ -281,7 +270,7 @@ let reset_to_slack_basis t =
   done
 
 let factor_current t =
-  Lu.factor ~kernel:t.lu_kernel ~m:t.m (fun k f ->
+  Lu.factor ~kernel:(Lu.kernel t.lu) ~m:t.m (fun k f ->
       let idx = t.cidx.(t.basis.(k)) and a = t.cval.(t.basis.(k)) in
       for p = 0 to Array.length idx - 1 do
         f idx.(p) a.(p)
@@ -311,7 +300,7 @@ let refactor t =
 
 let refactorize = refactor
 
-let create ?(pricing = Devex) ?(lu_kernel = Lu.Auto) p =
+let create ?(lu_kernel = Lu.Auto) p =
   let n = p.Problem.ncols and m = p.Problem.nrows in
   let nt = n + m in
   let lb = Array.make nt 0.0 and ub = Array.make nt 0.0 in
@@ -333,8 +322,6 @@ let create ?(pricing = Devex) ?(lu_kernel = Lu.Auto) p =
       nt;
       cidx;
       cval;
-      pricing;
-      lu_kernel;
       cost;
       lb;
       ub;
@@ -392,7 +379,7 @@ let create ?(pricing = Devex) ?(lu_kernel = Lu.Auto) p =
 let create_from prev p' =
   if p'.Problem.ncols <> prev.n || p'.Problem.nrows < prev.m then
     invalid_arg "Simplex.create_from: not a row extension";
-  let t = create ~pricing:prev.pricing ~lu_kernel:prev.lu_kernel p' in
+  let t = create ~lu_kernel:(Lu.kernel prev.lu) p' in
   (* carry the previous instance's *current* bounds for the shared
      variables (structural and old slacks occupy the same indices). At
      the root cut loop these equal [p']'s bounds; a branch-and-bound
@@ -449,31 +436,14 @@ let[@inline] eligibility t costs v =
    bound (d < 0), -1 when it enters decreasing from its upper bound *)
 let[@inline] direction d = if d < 0.0 then 1.0 else -1.0
 
-(* Full-scan pricing: Dantzig's most-negative reduced cost, or Bland's
-   first-eligible rule when [bland] (anti-cycling fallback for long
-   degenerate streaks under either strategy). *)
-let price_full t costs ~bland =
-  let best = ref (-1) and best_score = ref 0.0 and best_d = ref 0.0 in
-  let v = ref 0 in
-  while !v < t.nt do
-    let d = eligibility t costs !v in
-    if not (Float.is_nan d) then
-      if bland then begin
-        best := !v;
-        best_d := d;
-        v := t.nt
-      end
-      else begin
-        let score = Float.abs d in
-        if score > !best_score then begin
-          best := !v;
-          best_score := score;
-          best_d := d
-        end
-      end;
-    incr v
-  done;
-  if !best < 0 then None else Some (!best, direction !best_d)
+(* Bland's first-eligible rule from variable [v] on: the anti-cycling
+   fallback for long degenerate streaks. *)
+let rec price_bland t costs v =
+  if v >= t.nt then None
+  else
+    let d = eligibility t costs v in
+    if Float.is_nan d then price_bland t costs (v + 1)
+    else Some (v, direction d)
 
 (* Devex pricing over the candidate window: re-price only the window,
    keep the members that still price out, and pick the best d^2/w
@@ -525,8 +495,7 @@ let price_devex t costs =
   if !best < 0 then None else Some (!best, direction !best_d)
 
 let price t costs ~bland =
-  if bland || t.pricing = Dantzig then price_full t costs ~bland
-  else price_devex t costs
+  if bland then price_bland t costs 0 else price_devex t costs
 
 (* Primal Devex weight update for the pivot that makes [q] enter at
    basis position [ip] (called before the LU update, while [t.lu] still
@@ -674,7 +643,7 @@ let update_lu t ip =
 
 let do_pivot t q sigma ip step leave_loc =
   let h0 = if Mm_obs.Trace.active t.tr then Mm_obs.Trace.now_ns () else 0L in
-  if t.pricing = Devex then devex_update t q ip;
+  devex_update t q ip;
   apply_step t q sigma step;
   let leaver = t.basis.(ip) in
   t.basis.(ip) <- q;
@@ -766,7 +735,7 @@ let phase2 t limit out_of_time =
   (* the Devex reference framework accumulated during phase 1 (or left
      behind by a previous solve after an arbitrary basis restore) prices
      the phase-2 geometry poorly; restart it *)
-  if t.pricing = Devex && t.niter > 0 then begin
+  if t.niter > 0 then begin
     Array.fill t.dw 0 t.nt 1.0;
     t.ncand <- 0
   end;
@@ -819,53 +788,37 @@ let is_dual_feasible t =
 
 (* One dual simplex run from the current (dual-feasible) basis.
    Restores primal feasibility while keeping dual feasibility; ends
-   Optimal, Infeasible (primal), or Iteration_limit. Under Devex the
-   leaving row maximizes violation^2 / weight with dual Devex row
-   weights; the exact row norm from {!Lu.btran_unit} cross-checks the
-   approximate weight and resets the framework on drift. *)
+   Optimal, Infeasible (primal), or Iteration_limit. The leaving row
+   maximizes violation^2 / weight with dual Devex row weights; the
+   exact row norm from {!Lu.btran_unit} cross-checks the approximate
+   weight and resets the framework on drift. *)
 let dual_phase t limit out_of_time =
   let exception Numerical_trouble in
   try
     let rec loop () =
       if t.niter >= limit || out_of_time () then Iteration_limit
       else begin
-        (* leaving row: most violated (Dantzig) or best weighted
-           violation (Devex) *)
-        let leave = ref (-1)
-        and best = ref 0.0
-        and worst = ref feas_tol
-        and increase = ref false in
+        (* leaving row: best weighted violation *)
+        let leave = ref (-1) and best = ref 0.0 and increase = ref false in
         for i = 0 to t.m - 1 do
           let v = t.basis.(i) in
           let x = t.xval.(v) in
           let viol_lo = t.lb.(v) -. x and viol_hi = x -. t.ub.(v) in
-          if t.pricing = Devex then begin
-            if viol_lo > feas_tol then begin
-              let sc = viol_lo *. viol_lo /. t.drw.(i) in
-              if sc > !best then begin
-                leave := i;
-                best := sc;
-                increase := true
-              end
-            end
-            else if viol_hi > feas_tol then begin
-              let sc = viol_hi *. viol_hi /. t.drw.(i) in
-              if sc > !best then begin
-                leave := i;
-                best := sc;
-                increase := false
-              end
+          if viol_lo > feas_tol then begin
+            let sc = viol_lo *. viol_lo /. t.drw.(i) in
+            if sc > !best then begin
+              leave := i;
+              best := sc;
+              increase := true
             end
           end
-          else if viol_lo > !worst then begin
-            leave := i;
-            worst := viol_lo;
-            increase := true
-          end
-          else if viol_hi > !worst then begin
-            leave := i;
-            worst := viol_hi;
-            increase := false
+          else if viol_hi > feas_tol then begin
+            let sc = viol_hi *. viol_hi /. t.drw.(i) in
+            if sc > !best then begin
+              leave := i;
+              best := sc;
+              increase := false
+            end
           end
         done;
         if !leave < 0 then Optimal
@@ -878,22 +831,19 @@ let dual_phase t limit out_of_time =
             Mm_obs.Trace.hist_add t.btran_hist
               (Int64.of_int (1000 * Svec.nnz t.rho / max 1 t.m));
           let wip =
-            if t.pricing = Devex then begin
-              let rho = t.rho in
-              let exact = ref 0.0 in
-              for s = 0 to slots rho - 1 do
-                let r = rho.vals.(slot rho s) in
-                exact := !exact +. (r *. r)
-              done;
-              if !exact > devex_drift_factor *. t.drw.(ip) then begin
-                (* the reference framework no longer tracks the true
-                   row norms: reset it *)
-                Array.fill t.drw 0 t.m 1.0;
-                t.ndevex_reset <- t.ndevex_reset + 1
-              end;
-              Float.max t.drw.(ip) !exact
-            end
-            else 1.0
+            let rho = t.rho in
+            let exact = ref 0.0 in
+            for s = 0 to slots rho - 1 do
+              let r = rho.vals.(slot rho s) in
+              exact := !exact +. (r *. r)
+            done;
+            if !exact > devex_drift_factor *. t.drw.(ip) then begin
+              (* the reference framework no longer tracks the true row
+                 norms: reset it *)
+              Array.fill t.drw 0 t.m 1.0;
+              t.ndevex_reset <- t.ndevex_reset + 1
+            end;
+            Float.max t.drw.(ip) !exact
           in
           compute_duals t t.cost;
           (* entering variable: dual ratio test over sign-eligible
@@ -934,21 +884,19 @@ let dual_phase t limit out_of_time =
             let alpha = t.alpha in
             if Float.abs alpha.vals.(ip) < pivot_tol then
               raise Numerical_trouble;
-            (if t.pricing = Devex then begin
-               (* dual Devex row-weight update from the entering
-                  column's ftran, over alpha's nonzeros only *)
-               let piv = alpha.vals.(ip) in
-               let inv2 = 1.0 /. (piv *. piv) in
-               for s = 0 to slots alpha - 1 do
-                 let i = slot alpha s in
-                 let a = alpha.vals.(i) in
-                 if i <> ip && Float.abs a > zero_tol then begin
-                   let w = a *. a *. inv2 *. wip in
-                   if w > t.drw.(i) then t.drw.(i) <- w
-                 end
-               done;
-               t.drw.(ip) <- Float.max (wip *. inv2) 1.0
-             end);
+            (* dual Devex row-weight update from the entering column's
+               ftran, over alpha's nonzeros only *)
+            let piv = alpha.vals.(ip) in
+            let inv2 = 1.0 /. (piv *. piv) in
+            for s = 0 to slots alpha - 1 do
+              let i = slot alpha s in
+              let a = alpha.vals.(i) in
+              if i <> ip && Float.abs a > zero_tol then begin
+                let w = a *. a *. inv2 *. wip in
+                if w > t.drw.(i) then t.drw.(i) <- w
+              end
+            done;
+            t.drw.(ip) <- Float.max (wip *. inv2) 1.0;
             let leaver = t.basis.(ip) in
             let leave_loc = if !increase then -1 else -2 in
             t.basis.(ip) <- q;

@@ -9,13 +9,12 @@
     solves, which is how {!Branch_bound} warm-starts node relaxations
     from a parent basis snapshot.
 
-    Pricing is pluggable ({!pricing}): the default {!Devex} combines
-    reference-framework pricing with a rotating candidate-list window
-    and a Harris two-pass ratio test with bound flips; {!Dantzig} keeps
-    the full-scan most-negative-reduced-cost rule as a comparison
-    baseline (the Harris ratio test applies to both). Both strategies
-    are deterministic: repeated solves of the same problem perform the
-    same pivots.
+    Pricing is Devex: reference-framework weights over a rotating
+    candidate-list window in the primal method, dual Devex row weights
+    in the dual method, with Bland's rule as the anti-cycling fallback.
+    The ratio test is a Harris two-pass with bound flips. Solves are
+    deterministic: repeated solves of the same problem perform the same
+    pivots.
 
     Integrality restrictions in the problem are ignored here. *)
 
@@ -26,15 +25,6 @@ type result =
   | Infeasible
   | Unbounded
   | Iteration_limit  (** ran out of pivots; solution is not meaningful *)
-
-type pricing =
-  | Dantzig  (** full scan, most negative reduced cost (baseline) *)
-  | Devex  (** reference-framework weights + candidate-list window *)
-
-val pricing_to_string : pricing -> string
-
-val pricing_of_string : string -> pricing option
-(** Inverse of {!pricing_to_string}; [None] on unknown names. *)
 
 type tolerances = {
   feas : float;  (** primal feasibility on variable/row bounds *)
@@ -71,9 +61,9 @@ val merge_stats : stats -> stats -> stats
 val pp_stats : Format.formatter -> stats -> unit
 (** One-line human-readable rendering. *)
 
-val create : ?pricing:pricing -> ?lu_kernel:Lu.kernel -> Problem.t -> t
-(** Builds solver state with the slack basis. [pricing] defaults to
-    {!Devex}; [lu_kernel] (default {!Lu.Auto}) selects the
+val create : ?lu_kernel:Lu.kernel -> Problem.t -> t
+(** Builds solver state with the slack basis. [lu_kernel] (default
+    {!Lu.Auto}) selects the
     triangular-solve kernel — {!Lu.Sparse} forces the hypersparse
     path on every sufficiently sparse operand and {!Lu.Dense} the
     plain dense sweeps, for A/B benchmarking and differential

@@ -10,8 +10,8 @@ let quick_options ?time_limit ?parallelism () =
    the new stack. The pool's scoring and ordering reproduce the
    historical cut loop pivot for pivot; benchmark A/B cells use this as
    the baseline arm. *)
-let baseline_options ?time_limit ?parallelism ?pricing ?lu_kernel () =
-  Config.make ?time_limit ?parallelism ?pricing ?lu_kernel
+let baseline_options ?time_limit ?parallelism ?lu_kernel () =
+  Config.make ?time_limit ?parallelism ?lu_kernel
     ~separators:[ Separator.name Separator.cover ]
     ~cut_max_age:max_int ~heuristics:false ~node_cut_depth:0 ()
 
@@ -332,8 +332,7 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?warm p
       let heur =
         if options.heuristics && Problem.num_integer q > 0 then
           Mm_obs.Trace.span snk "heuristic" (fun () ->
-              Heuristics.run ?deadline ~pricing:options.pricing
-                ~lu_kernel:options.lu_kernel ~snk q)
+              Heuristics.run ?deadline ~lu_kernel:options.lu_kernel ~snk q)
         else
           {
             Heuristics.incumbent = None;

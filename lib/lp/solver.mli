@@ -10,7 +10,6 @@ val quick_options : ?time_limit:float -> ?parallelism:int -> unit -> Config.t
 val baseline_options :
   ?time_limit:float ->
   ?parallelism:int ->
-  ?pricing:Simplex.pricing ->
   ?lu_kernel:Lu.kernel ->
   unit ->
   Config.t

@@ -86,8 +86,9 @@ let release t (l : lease) =
 
 (* ---- cross-process persistence ---------------------------------------- *)
 
-(* 2: keys use the full [Mm_lp.Config] fingerprint *)
-let file_version = 2
+(* 2: keys use the full [Mm_lp.Config] fingerprint; 3: the fingerprint
+   no longer names a pricing rule *)
+let file_version = 3
 
 let save t path =
   let module J = Mm_obs.Json in

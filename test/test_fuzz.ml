@@ -164,8 +164,9 @@ let test_matrix_spans_lu_kernels () =
       (fun (a : Arm.t) -> kernel a = Mm_lp.Lu.Sparse)
       Arm.matrix
   in
-  Alcotest.(check bool) "at least 2 dense-kernel arms" true
-    (List.length dense >= 2);
+  Alcotest.(check (list string)) "at least 2 dense-kernel arms"
+    [ "j1-nocuts-dlu"; "j1-full-warm-dlu" ]
+    (List.map (fun (a : Arm.t) -> a.Arm.name) dense);
   Alcotest.(check bool) "at least 2 sparse-kernel arms" true
     (List.length sparse >= 2);
   Alcotest.(check bool) "a parallel sparse arm" true
@@ -205,6 +206,14 @@ let prop_dense_lu_arm_agrees =
       | Error f -> QCheck.Test.fail_report (Differential.failure_to_string f))
 
 let test_arm_rotation_covers_matrix () =
+  (* [j<p>-<cuts>[-warm][-slu|-dlu]]: each name is its configuration *)
+  Alcotest.(check (list string)) "the 12 arms, in rotation order"
+    [
+      "j2-full"; "j4-full"; "j1-nocuts"; "j4-nocuts"; "j1-baseline";
+      "j2-baseline"; "j1-full-warm"; "j2-full-warm"; "j1-full-slu";
+      "j2-full-slu"; "j1-nocuts-dlu"; "j1-full-warm-dlu";
+    ]
+    (List.map (fun (a : Arm.t) -> a.Arm.name) Arm.matrix);
   let covered =
     List.concat_map Campaign.arms_for (List.init 3 Fun.id)
     |> List.map (fun (a : Arm.t) -> a.Arm.name)
@@ -224,7 +233,7 @@ let test_replay_roundtrip () =
   Sys.remove dir;
   let case = Case.Mip { vars = 5; rows = 3; seed = 99; pure_binary = true } in
   let failure =
-    { Differential.case; arm = "j2-devex-full"; reason = "objective drift" }
+    { Differential.case; arm = "j2-full"; reason = "objective drift" }
   in
   let path = Replay.save ~dir failure in
   (match Replay.load path with

@@ -276,14 +276,14 @@ let random_lp_wide_gen =
 
 let prop_sparse_matches_dense_oracle =
   qtest ~count:300
-    "sparse LU engine agrees with the dense oracle (all pricings x methods)"
+    "sparse LU engine agrees with the dense oracle (primal and dual)"
     random_lp_wide_gen (fun params ->
       let p = build_random_lp params in
       let d = Dense_simplex.create p in
       let dr = Dense_simplex.solve d in
       List.for_all
-        (fun (pricing, prefer_dual) ->
-          let s = Simplex.create ~pricing p in
+        (fun prefer_dual ->
+          let s = Simplex.create p in
           match (Simplex.solve ~prefer_dual s, dr) with
           | Simplex.Optimal, Dense_simplex.Optimal ->
               let a = Simplex.objective s and b = Dense_simplex.objective d in
@@ -291,12 +291,7 @@ let prop_sparse_matches_dense_oracle =
           | Simplex.Infeasible, Dense_simplex.Infeasible -> true
           | Simplex.Unbounded, Dense_simplex.Unbounded -> true
           | _ -> false)
-        [
-          (Simplex.Dantzig, false);
-          (Simplex.Dantzig, true);
-          (Simplex.Devex, false);
-          (Simplex.Devex, true);
-        ])
+        [ false; true ])
 
 (* Single-step the solver ([iteration_limit:1] performs exactly one
    iteration per call) and, whenever that iteration was a bound flip,
@@ -1351,9 +1346,7 @@ let prop_gub_heuristic_feasible_and_bounded =
   qtest ~count:150 "GUB diving incumbent is feasible, above the optimum"
     random_gub_gen (fun params ->
       let p = Model.to_problem (build_random_gub params) in
-      let h =
-        Heuristics.run ~pricing:Simplex.Devex ~snk:Mm_obs.Trace.null p
-      in
+      let h = Heuristics.run ~snk:Mm_obs.Trace.null p in
       match h.Heuristics.incumbent with
       | None -> true (* allowed: the heuristic may come up empty *)
       | Some (x, obj) -> (

@@ -29,7 +29,6 @@ let knobs_gen =
     in
     let* heuristics = bool in
     let* parallelism = int_range 0 Config.max_parallelism in
-    let* pricing = oneofl [ Mm_lp.Simplex.Devex; Mm_lp.Simplex.Dantzig ] in
     let* lu_kernel =
       oneofl [ Mm_lp.Lu.Auto; Mm_lp.Lu.Sparse; Mm_lp.Lu.Dense ]
     in
@@ -42,7 +41,7 @@ let knobs_gen =
     let* node_cut_freq = int_range 1 10 in
     return
       (Config.make ~presolve ~cuts ~cut_rounds ~max_cuts_per_round ~cut_max_age
-         ~separators ~heuristics ~parallelism ~pricing ~lu_kernel ?time_limit
+         ~separators ~heuristics ~parallelism ~lu_kernel ?time_limit
          ?node_limit ~gap_tol ~int_tol ?log_every ~node_cut_depth
          ~node_cut_freq ()))
 
@@ -130,7 +129,6 @@ let test_fingerprint_covers_every_field () =
     separators;
     heuristics;
     parallelism;
-    pricing;
     lu_kernel;
     time_limit;
     node_limit;
@@ -153,13 +151,6 @@ let test_fingerprint_covers_every_field () =
       ("separators", { d with separators = List.tl separators });
       ("heuristics", { d with heuristics = not heuristics });
       ("parallelism", { d with parallelism = parallelism + 1 });
-      ( "pricing",
-        {
-          d with
-          pricing =
-            (if pricing = Mm_lp.Simplex.Devex then Mm_lp.Simplex.Dantzig
-             else Mm_lp.Simplex.Devex);
-        } );
       ( "lu_kernel",
         {
           d with
@@ -222,10 +213,18 @@ let test_config_rejects_out_of_range () =
     ];
   Alcotest.(check bool) "parallelism 64 accepted" true
     (Result.is_ok (decode [ ("parallelism", J.Num 64.) ]));
+  (* a misspelt or retired knob is named, never silently dropped *)
+  List.iter
+    (fun key ->
+      Alcotest.(check (result reject string))
+        ("unknown key " ^ key)
+        (Error (Printf.sprintf "unknown field %S" key))
+        (Result.map ignore (decode [ (key, J.Str "devex") ])))
+    [ "pricing"; "parallelsim" ];
   (* the pre-existing wire errors keep their wording *)
   Alcotest.(check (result reject string))
-    "pricing name" (Error "unknown pricing \"fast\"")
-    (Result.map ignore (decode [ ("pricing", J.Str "fast") ]));
+    "lu_kernel name" (Error "unknown lu_kernel \"fast\"")
+    (Result.map ignore (decode [ ("lu_kernel", J.Str "fast") ]));
   Alcotest.(check (result reject string))
     "non-integer rounds" (Error "bad cut_rounds field")
     (Result.map ignore (decode [ ("cut_rounds", J.Str "3") ]))
@@ -467,29 +466,40 @@ let test_engine_time_limit () =
       ()
 
 let test_engine_survives_huge_parallelism () =
-  (* a parallelism beyond what the runtime can spawn is refused at
-     decode, and the engine keeps serving multi-domain requests *)
+  (* a parallelism beyond what the runtime can spawn, or a knob the
+     configuration does not declare, is refused at decode, and the
+     engine keeps serving multi-domain requests *)
   let board, design = small_instance () in
   let engine = Engine.create () in
-  let send parallelism =
-    let req =
-      Request.make ~id:"p" ~knobs:(Config.make ~parallelism ()) board design
+  let send knobs =
+    let line =
+      match Request.to_json (Request.make ~id:"p" board design) with
+      | J.Obj kvs ->
+          J.to_string
+            (J.Obj (("knobs", J.Obj knobs) :: List.remove_assoc "knobs" kvs))
+      | _ -> Alcotest.fail "request is not an object"
     in
     match
       Result.bind
-        (J.of_string
-           (Engine.handle_line engine (J.to_string (Request.to_json req))))
+        (J.of_string (Engine.handle_line engine line))
         Request.response_of_json
     with
     | Ok r -> r
     | Error e -> Alcotest.failf "undecodable response: %s" e
   in
-  (match send 300 with
-  | Request.Error_response { code = Request.Bad_request; message; _ } ->
-      Alcotest.(check string) "names the field"
-        "request: knobs: bad parallelism field: 300 above 64" message
-  | _ -> Alcotest.fail "parallelism 300 must be a bad_request");
-  match send 2 with
+  List.iter
+    (fun (knobs, expected) ->
+      match send knobs with
+      | Request.Error_response { code = Request.Bad_request; message; _ } ->
+          Alcotest.(check string) "names the field" expected message
+      | _ -> Alcotest.failf "must be a bad_request: %s" expected)
+    [
+      ( [ ("parallelism", J.Num 300.) ],
+        "request: knobs: bad parallelism field: 300 above 64" );
+      ( [ ("parallelsim", J.Num 4.) ],
+        "request: knobs: unknown field \"parallelsim\"" );
+    ];
+  match send [ ("parallelism", J.Num 2.) ] with
   | Request.Ok_response _ -> ()
   | Request.Error_response { message; _ } ->
       Alcotest.failf "parallelism 2 after the refusal: %s" message
@@ -893,9 +903,12 @@ let test_cache_persistence_rejects_corrupt () =
   (* version 1 keyed entries by the older, shorter knob fingerprint *)
   check_rejected "version 1"
     {|{"version":1,"entries":[{"key":"k","warm":{"solves":1,"orig_cols":0,"orig_rows":0,"basis":null,"pseudocosts":null}}]}|};
-  check_rejected "missing entries" {|{"version":2}|};
+  (* version 2 keys still carried the retired pricing knob *)
+  check_rejected "version 2"
+    {|{"version":2,"entries":[{"key":"k","warm":{"solves":1,"orig_cols":0,"orig_rows":0,"basis":null,"pseudocosts":null}}]}|};
+  check_rejected "missing entries" {|{"version":3}|};
   check_rejected "invalid warm state"
-    {|{"version":2,"entries":[{"key":"k","warm":{"solves":-1,"orig_cols":0,"orig_rows":0,"basis":null,"pseudocosts":null}}]}|}
+    {|{"version":3,"entries":[{"key":"k","warm":{"solves":-1,"orig_cols":0,"orig_rows":0,"basis":null,"pseudocosts":null}}]}|}
 
 let test_cache_save_load_file_roundtrip () =
   (* save of a loaded cache reproduces the same entries *)
