@@ -416,6 +416,28 @@ let factor ?(kernel = Auto) ~m coliter =
     sv_unit = Svec.create m;
   }
 
+(* The factors are never written after [factor] returns, so a copy
+   shares them. The eta file is appended in place and the counters and
+   kernel-choice state move on every solve: those are copied. Scratch is
+   fresh — all-zero or stamp-guarded between solves, so a fresh array
+   behaves exactly like a used one. *)
+let copy t =
+  {
+    t with
+    etas = Array.copy t.etas;
+    work = Array.make t.m 0.0;
+    work2 = Array.make t.m 0.0;
+    smark = Array.make t.m (-1);
+    pmark = Array.make t.m (-1);
+    reach1 = Array.make t.m 0;
+    reach2 = Array.make t.m 0;
+    dstack = Array.make t.m 0;
+    plist = Array.make t.m 0;
+    sv_src = Svec.create t.m;
+    sv_dst = Svec.create t.m;
+    sv_unit = Svec.create t.m;
+  }
+
 (* ---- shared dense passes ---- *)
 
 (* forward L sweep on t.work in place *)

@@ -49,6 +49,12 @@ val factor : ?kernel:kernel -> m:int -> (int -> (int -> float -> unit) -> unit) 
     position [k] is enumerated by [coliter k f] as [f row value].
     Raises {!Singular} when elimination stalls. *)
 
+val copy : t -> t
+(** An independent copy: updating, solving with or refactoring either
+    instance leaves the other's next solve bit-identical. The immutable
+    factors are shared; the eta file and the solve counters are copied
+    and the scratch is fresh. *)
+
 val ftran_sv : t -> src:Svec.t -> dst:Svec.t -> unit
 (** [ftran_sv t ~src ~dst] solves [B x = src]; [src] is row-indexed and
     left unchanged, [dst] receives [x] indexed by basis position with

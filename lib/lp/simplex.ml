@@ -112,6 +112,18 @@ let merge_stats a b =
     dense_fallbacks = a.dense_fallbacks + b.dense_fallbacks;
   }
 
+let diff_stats a b =
+  {
+    a with
+    pivots = a.pivots - b.pivots;
+    phase1_pivots = a.phase1_pivots - b.phase1_pivots;
+    flips = a.flips - b.flips;
+    refactorizations = a.refactorizations - b.refactorizations;
+    devex_resets = a.devex_resets - b.devex_resets;
+    sparse_solves = a.sparse_solves - b.sparse_solves;
+    dense_fallbacks = a.dense_fallbacks - b.dense_fallbacks;
+  }
+
 let pp_stats fmt s =
   Format.fprintf fmt
     "%d pivots (%d phase-1, %d flips), %d refactorizations, %d devex resets, \
@@ -402,6 +414,42 @@ let create_from prev p' =
   refactor t;
   t
 
+(* Deep copy of the solve state: bounds, basis, values, Devex state,
+   counters and the LU with its eta file. The problem, the column table
+   and the costs are never written after [create] and stay shared;
+   scratch, trace histograms and the sink are fresh. The flushed-count
+   marks start at the current counts, so the copy's trace reports only
+   the flips and resets it performs itself. *)
+let copy t =
+  let hist = Mm_obs.Trace.hist_create in
+  {
+    t with
+    lb = Array.copy t.lb;
+    ub = Array.copy t.ub;
+    basis = Array.copy t.basis;
+    loc = Array.copy t.loc;
+    lu = Lu.copy t.lu;
+    xval = Array.copy t.xval;
+    tr = Mm_obs.Trace.null;
+    flushed_flips = t.nflip;
+    flushed_resets = t.ndevex_reset;
+    pivot_hist = hist ();
+    refactor_hist = hist ();
+    ftran_hist = hist ();
+    btran_hist = hist ();
+    y = Svec.create t.m;
+    alpha = Svec.create t.m;
+    beta = Array.make t.m 0.0;
+    rhs = Svec.create t.m;
+    bwork = Array.make t.m 0.0;
+    cbw = Svec.create t.m;
+    rho = Svec.create t.m;
+    pcost = Array.make t.nt 0.0;
+    dw = Array.copy t.dw;
+    drw = Array.copy t.drw;
+    cand = Array.copy t.cand;
+  }
+
 (* --- pricing ----------------------------------------------------------- *)
 
 let compute_duals t costs =
@@ -686,7 +734,9 @@ let phase1_inner t limit out_of_time =
     if t.niter >= limit || out_of_time () then Iteration_limit
     else if infeasibility t <= feas_tol *. float_of_int (t.m + 1) then Optimal
     else begin
-      Array.fill t.pcost 0 t.nt 0.0;
+      (* only basic entries are ever set, and they are cleared again
+         once pricing has read them, so [pcost] is all zero between
+         iterations without a sweep over all n + m entries *)
       for i = 0 to t.m - 1 do
         let v = t.basis.(i) in
         let x = t.xval.(v) in
@@ -695,7 +745,11 @@ let phase1_inner t limit out_of_time =
       done;
       compute_duals t t.pcost;
       let bland = t.degenerate_streak > 200 in
-      match price t t.pcost ~bland with
+      let choice = price t t.pcost ~bland in
+      for i = 0 to t.m - 1 do
+        t.pcost.(t.basis.(i)) <- 0.0
+      done;
+      match choice with
       | None -> Infeasible
       | Some (q, sigma) -> (
           ftran t q;
@@ -739,10 +793,15 @@ let phase2 t limit out_of_time =
     Array.fill t.dw 0 t.nt 1.0;
     t.ncand <- 0
   end;
+  (* a bound flip leaves the basis, its factorization and the costs
+     unchanged, so the duals it leaves behind are still exact: only a
+     pivot or a refactorization calls for a fresh btran *)
+  let duals_valid = ref false in
   let rec loop () =
     if t.niter >= limit || out_of_time () then Iteration_limit
     else begin
-      compute_duals t t.cost;
+      if not !duals_valid then compute_duals t t.cost;
+      duals_valid := true;
       let bland = t.degenerate_streak > 200 in
       match price t t.cost ~bland with
       | None -> Optimal
@@ -753,6 +812,7 @@ let phase2 t limit out_of_time =
               do_flip t q sigma gap;
               loop ()
           | Block (ip, step, lloc) ->
+              duals_valid := false;
               if Float.abs t.alpha.Svec.vals.(ip) < pivot_tol then begin
                 refactor t;
                 loop ()
@@ -987,6 +1047,7 @@ let duals t =
   Array.copy t.y.Svec.vals
 
 let iterations t = t.niter
+let problem t = t.p
 
 let stats t =
   {

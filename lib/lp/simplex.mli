@@ -58,6 +58,10 @@ val merge_stats : stats -> stats -> stats
 (** Combine counters from independent solver instances: counts add,
     gauges ([max_eta], [lu_fill], [basis_nnz]) take the max. *)
 
+val diff_stats : stats -> stats -> stats
+(** [diff_stats a b] is the work in [a] done after the baseline [b]
+    taken from the same instance: counts subtract, gauges are [a]'s. *)
+
 val pp_stats : Format.formatter -> stats -> unit
 (** One-line human-readable rendering. *)
 
@@ -80,6 +84,16 @@ val create_from : t -> Problem.t -> t
     re-optimizes in a few dual pivots — the root cut loop's warm
     restart. Raises [Invalid_argument] if [p'] is not a row extension
     of [prev]'s problem. *)
+
+val copy : t -> t
+(** An independent copy of the whole solve state: bounds, basis, primal
+    values, Devex weights and window, counters and the LU factorization
+    with its eta file. Solving, re-bounding or refactoring either
+    instance leaves the other's next solve bit-identical. The problem
+    and its column table are shared; scratch buffers, trace histograms
+    and the trace sink (none) are fresh, so the copy's
+    {!flush_trace} reports only its own work. This is how
+    {!Heuristics.run} hands its solved root LP to {!Branch_bound}. *)
 
 val solve :
   ?iteration_limit:int -> ?deadline:float -> ?prefer_dual:bool -> t -> result
@@ -110,10 +124,15 @@ val duals : t -> float array
 (** Row dual multipliers at the final basis. *)
 
 val iterations : t -> int
-(** Total pivots performed since creation, bound flips included. *)
+(** Total pivots performed since creation, bound flips included (a
+    {!copy} starts from its source's count). *)
+
+val problem : t -> Problem.t
+(** The problem this instance was created on. *)
 
 val stats : t -> stats
-(** Cumulative instrumentation counters since creation. *)
+(** Cumulative instrumentation counters since creation (a {!copy}
+    starts from its source's counters). *)
 
 val set_trace : t -> Mm_obs.Trace.sink -> unit
 (** Attach a trace sink: every pivot and refactorization is then timed
