@@ -141,11 +141,22 @@ type workspace = {
   mutable max_node_lp_time : float;
   mutable retired : Simplex.stats;
       (* stats of simplex instances replaced by cut-row extensions *)
-  mutable retired_pivots : int;
+  inherited : Simplex.stats;
+      (* counters an adopted root LP arrived with: that solve is
+         reported by the heuristic that ran it, not here *)
+  mutable root_solved : bool;
+      (* [sx] already holds the root node's optimum (adopted, unsolved) *)
 }
 
+(* the work this worker's simplex instances did, the inherited root
+   solve excluded *)
+let ws_stats ws =
+  Simplex.diff_stats
+    (Simplex.merge_stats ws.retired (Simplex.stats ws.sx))
+    ws.inherited
+
 let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?cuts
-    ?initial ?warm_pc (p : Problem.t) =
+    ?initial ?warm_pc ?root (p : Problem.t) =
   let t0 = Unix.gettimeofday () in
   let deadline = Option.map (fun tl -> t0 +. tl) options.time_limit in
   let n = p.Problem.ncols in
@@ -268,7 +279,6 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?cuts
           Simplex.restore_bounds ws.sx ws.root_bounds;
           let p' = Problem.extend_rows ws.prob rows in
           ws.retired <- Simplex.merge_stats ws.retired (Simplex.stats ws.sx);
-          ws.retired_pivots <- ws.retired_pivots + Simplex.iterations ws.sx;
           Simplex.flush_trace ws.sx;
           let sx' = Simplex.create_from ws.sx p' in
           Simplex.set_trace sx' sinks.(ws.id);
@@ -306,7 +316,6 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?cuts
               (Atomic.get incumbent).obj (Node_pool.queued pool))
     | _ -> ());
     ws.processed <- ws.processed + 1;
-    apply_node ws nd;
     let timed_solve ?(prefer_dual = false) () =
       let lp0 = Unix.gettimeofday () in
       let r = Simplex.solve ?deadline ~prefer_dual ws.sx in
@@ -319,8 +328,19 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?cuts
        parent's restored basis needs only a short phase I (the basis
        is near-feasible after one bound change); the bounded dual is
        available via [prefer_dual] but grinds on these highly
-       degenerate set-covering LPs, so it stays opt-in *)
-    (match timed_solve () with
+       degenerate set-covering LPs, so it stays opt-in. An adopted root
+       LP is already optimal: it needs neither. *)
+    let lp_result =
+      if ws.root_solved then begin
+        ws.root_solved <- false;
+        Simplex.Optimal
+      end
+      else begin
+        apply_node ws nd;
+        timed_solve ()
+      end
+    in
+    (match lp_result with
     | Simplex.Infeasible -> ()
     | Simplex.Unbounded ->
         if nd.depth = 0 then begin
@@ -520,8 +540,18 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?cuts
       end
     done
   in
+  (* worker 0 adopts a root LP solved on this very problem (the
+     heuristic's, see [Heuristics.result.root_lp]); anything else is
+     ignored and the root is solved here from the slack basis *)
+  let adopted =
+    match root with Some r when Simplex.problem r == p -> Some r | _ -> None
+  in
   let make_workspace id =
-    let sx = Simplex.create ~lu_kernel:options.lu_kernel p in
+    let sx, inherited =
+      match adopted with
+      | Some r when id = 0 -> (r, Simplex.stats r)
+      | _ -> (Simplex.create ~lu_kernel:options.lu_kernel p, Simplex.empty_stats)
+    in
     Simplex.set_trace sx sinks.(id);
     {
       id;
@@ -553,7 +583,8 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?cuts
       lp_time = 0.0;
       max_node_lp_time = 0.0;
       retired = Simplex.empty_stats;
-      retired_pivots = 0;
+      inherited;
+      root_solved = id = 0 && Option.is_some adopted;
     }
   in
   let workspaces = Array.init nworkers make_workspace in
@@ -638,17 +669,14 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?cuts
     best_bound = to_user final_bound;
     nodes = Atomic.get nodes;
     simplex_iterations =
-      Array.fold_left
-        (fun a ws -> a + Simplex.iterations ws.sx + ws.retired_pivots)
-        0 workspaces;
+      Array.fold_left (fun a ws -> a + (ws_stats ws).Simplex.pivots) 0 workspaces;
     time = elapsed ();
     lp_time = Array.fold_left (fun a ws -> a +. ws.lp_time) 0.0 workspaces;
     max_node_lp_time =
       Array.fold_left (fun a ws -> Float.max a ws.max_node_lp_time) 0.0 workspaces;
     lp_stats =
       Array.fold_left
-        (fun a ws ->
-          Simplex.merge_stats a (Simplex.merge_stats ws.retired (Simplex.stats ws.sx)))
+        (fun a ws -> Simplex.merge_stats a (ws_stats ws))
         Simplex.empty_stats workspaces;
     par =
       {
@@ -656,9 +684,7 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?cuts
         nodes_stolen = Node_pool.nodes_stolen pool;
         idle_seconds = Node_pool.idle_seconds pool;
         domain_pivots =
-          Array.map
-            (fun ws -> Simplex.iterations ws.sx + ws.retired_pivots)
-            workspaces;
+          Array.map (fun ws -> (ws_stats ws).Simplex.pivots) workspaces;
       };
     incumbent_source = inc.src;
     pseudocosts =

@@ -85,13 +85,19 @@ type result = {
   objective : float option;  (** incumbent objective, user sense *)
   best_bound : float;  (** proved bound on the optimum, user sense *)
   nodes : int;
-  simplex_iterations : int;  (** summed across all domains *)
+  simplex_iterations : int;
+      (** summed across all domains; an adopted [?root] solve is not
+          counted (its pivots belong to the heuristic that ran it) *)
   time : float;  (** wall-clock seconds spent *)
   lp_time : float;
       (** seconds inside node LP solves, summed across domains (may
           exceed [time] when [parallelism > 1]) *)
-  max_node_lp_time : float;  (** slowest single node relaxation *)
-  lp_stats : Simplex.stats;  (** simplex instrumentation, merged *)
+  max_node_lp_time : float;
+      (** slowest single node relaxation solved here (an adopted
+          [?root] is not solved here, so it does not count) *)
+  lp_stats : Simplex.stats;
+      (** simplex instrumentation, merged; counts exclude an adopted
+          [?root] solve, like [simplex_iterations] *)
   par : par_stats;  (** parallel-search instrumentation *)
   incumbent_source : incumbent_source;
       (** which mechanism produced the final incumbent *)
@@ -109,6 +115,7 @@ val solve :
   ?cuts:Cut_pool.t ->
   ?initial:float array * float ->
   ?warm_pc:pseudocosts ->
+  ?root:Simplex.t ->
   Problem.t ->
   result
 (** [solve ?options ?cuts ?initial p] explores [p]'s tree under the
@@ -128,5 +135,14 @@ val solve :
     problem (silently ignored when the column count differs); seeded
     branching changes the node order, so it is opt-in — the
     [parallelism = 1] determinism contract only covers unseeded
-    runs. If a worker domain cannot be spawned, the helpers already
+    runs. [?root] is [p]'s root LP already solved to optimality —
+    typically {!Heuristics.result.root_lp}, the instance the diving
+    heuristic solved before its first dive. Worker 0 adopts it (it must
+    not be used elsewhere afterwards) and its root node skips the LP
+    solve: reduced-cost fixing, rounding and branching start from the
+    adopted optimum, which is bit-identical to solving [p] from the
+    slack basis here. A root built on any problem other than [p]
+    (physically) is ignored. Its inherited counters are left out of
+    [simplex_iterations] and [lp_stats]; its time is not in [lp_time].
+    If a worker domain cannot be spawned, the helpers already
     running are stopped and joined before the exception escapes. *)

@@ -16,6 +16,9 @@ type result = {
   dives : int;
   lp : Simplex.stats;
   lp_time : float;
+  root_lp : Simplex.t option;
+      (* a copy of the instance right after the root solve, when it was
+         optimal: branch and bound's root node adopts it unsolved *)
 }
 
 let internal_obj (p : Problem.t) x =
@@ -95,7 +98,15 @@ let round_point p ~gubs ~ints x =
   end
 
 let run ?deadline ?(lu_kernel = Lu.Auto) ~snk (p : Problem.t) =
-  let none = { incumbent = None; dives = 0; lp = Simplex.empty_stats; lp_time = 0.0 } in
+  let none =
+    {
+      incumbent = None;
+      dives = 0;
+      lp = Simplex.empty_stats;
+      lp_time = 0.0;
+      root_lp = None;
+    }
+  in
   if Problem.num_integer p = 0 then none
   else begin
     let gubs = gub_rows p in
@@ -122,8 +133,10 @@ let run ?deadline ?(lu_kernel = Lu.Auto) ~snk (p : Problem.t) =
     let dives = ref 0 in
     let max_dives = List.length gubs + List.length ints + 4 in
     let unfixed = ref gubs in
+    let root_lp = ref None in
     (match timed_solve ~prefer_dual:false () with
     | Simplex.Optimal ->
+        root_lp := Some (Simplex.copy sx);
         let continue_ = ref true in
         while !continue_ do
           let x = Simplex.primal sx in
@@ -196,5 +209,6 @@ let run ?deadline ?(lu_kernel = Lu.Auto) ~snk (p : Problem.t) =
       dives = !dives;
       lp = Simplex.stats sx;
       lp_time = !lp_time;
+      root_lp = !root_lp;
     }
   end

@@ -9,15 +9,22 @@
     while a GUB-aware rounding of every intermediate point keeps the
     best feasible incumbent seen. The incumbent is handed to
     {!Branch_bound} (published through its atomic-incumbent path)
-    before the tree starts. *)
+    before the tree starts, and so is the solved root LP: the tree's
+    root node adopts it instead of solving the same LP again. *)
 
 type result = {
   incumbent : (float array * float) option;
       (** feasible point and its objective in the internal minimization
           sense ([obj_const] included) *)
   dives : int;  (** LP re-solves performed after the root solve *)
-  lp : Simplex.stats;
+  lp : Simplex.stats;  (** every pivot of the run, the root solve included *)
   lp_time : float;
+  root_lp : Simplex.t option;
+      (** a {!Simplex.copy} of the instance taken right after the root
+          solve, before any dive fixes a bound — [None] when that solve
+          was not optimal. Its counters already hold the root solve
+          (counted in [lp]); pass it to {!Branch_bound.solve}'s [?root]
+          together with the same problem. *)
 }
 
 val gub_rows : Problem.t -> int list

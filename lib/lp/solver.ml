@@ -339,6 +339,7 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?warm p
             dives = 0;
             lp = Simplex.empty_stats;
             lp_time = 0.0;
+            root_lp = None;
           }
       in
       Log.debug (fun m ->
@@ -363,7 +364,8 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?warm p
       let r =
         Mm_obs.Trace.span snk "bb" (fun () ->
             Branch_bound.solve ~trace ~options:bb_options ?cuts:pool
-              ?initial:heur.Heuristics.incumbent ?warm_pc q)
+              ?initial:heur.Heuristics.incumbent ?warm_pc
+              ?root:heur.Heuristics.root_lp q)
       in
       (match warm with
       | Some w ->

@@ -1896,6 +1896,173 @@ let test_trajectory_corpus () =
             (Solver.solve ~options:(Config.make ~parallelism:1 ()) p))
     files
 
+(* --- root LP handover ----------------------------------------------------- *)
+
+(* [Solver.solve]'s pipeline up to the tree: presolve, the root cut
+   loop and the diving heuristic, rebuilt on every call — the cut pool
+   is stateful (node separation appends to it), so each branch-and-bound
+   run gets its own. Returns the pool, the strengthened root problem and
+   the heuristic's result. *)
+let root_pipeline p =
+  let options = Config.make ~parallelism:1 () in
+  let q =
+    match Presolve.presolve p with
+    | Presolve.Reduced (q, _) -> q
+    | Presolve.Infeasible | Presolve.Unbounded -> p
+  in
+  let pool, q =
+    if Problem.num_integer q > 0 then begin
+      let pool = Cut_pool.create ~options q in
+      let q', _ = Cut_pool.root_loop ~snk:Mm_obs.Trace.null pool in
+      (Some pool, q')
+    end
+    else (None, q)
+  in
+  (pool, q, Heuristics.run ~snk:Mm_obs.Trace.null q)
+
+(* Branch and bound on the same strengthened root, once solving the root
+   LP itself and once adopting the heuristic's solved instance: serially
+   the trees are identical and only the root solve's pivots go missing;
+   with two workers the proved optimum is the same (their node order
+   depends on timing, with or without the handover). *)
+let check_handover label p =
+  List.iter
+    (fun j ->
+      let options = Config.make ~parallelism:j () in
+      let run ~handover =
+        let pool, q, h = root_pipeline p in
+        let root_pivots =
+          match h.Heuristics.root_lp with
+          | Some r -> (Simplex.stats r).Simplex.pivots
+          | None -> 0
+        in
+        let root = if handover then h.Heuristics.root_lp else None in
+        ( Branch_bound.solve ~options ?cuts:pool ?initial:h.Heuristics.incumbent
+            ?root q,
+          root_pivots )
+      in
+      let solved, root_pivots = run ~handover:false in
+      let adopted, _ = run ~handover:true in
+      let l = Printf.sprintf "%s -j %d" label j in
+      Alcotest.(check (option exact_float)) (l ^ " objective")
+        solved.Branch_bound.objective adopted.Branch_bound.objective;
+      Alcotest.(check bool) (l ^ " status") true
+        (solved.Branch_bound.status = adopted.Branch_bound.status);
+      if j = 1 then begin
+        Alcotest.(check int) (l ^ " nodes") solved.Branch_bound.nodes
+          adopted.Branch_bound.nodes;
+        Alcotest.(check string) (l ^ " incumbent source")
+          (Branch_bound.incumbent_source_to_string
+             solved.Branch_bound.incumbent_source)
+          (Branch_bound.incumbent_source_to_string
+             adopted.Branch_bound.incumbent_source);
+        Alcotest.(check int) (l ^ " pivots differ by the root solve")
+          root_pivots
+          (solved.Branch_bound.simplex_iterations
+          - adopted.Branch_bound.simplex_iterations);
+        Alcotest.(check int) (l ^ " lp_stats agree")
+          adopted.Branch_bound.simplex_iterations
+          adopted.Branch_bound.lp_stats.Simplex.pivots
+      end)
+    [ 1; 2 ]
+
+let test_handover_table3 () =
+  List.iteri
+    (fun i (point : Mm_workload.Table3.point) ->
+      if i <= 2 then begin
+        let board, design =
+          Mm_workload.Gen.instance point.Mm_workload.Table3.spec
+        in
+        let ctx = Mm_mapping.Formulation.ctx board design in
+        List.iter
+          (fun (name, build) ->
+            match build ctx with
+            | Ok (p, _) -> check_handover (Printf.sprintf "p%d %s" i name) p
+            | Error e -> Alcotest.fail e)
+          [
+            ("complete", Mm_mapping.Complete_ilp.F.build);
+            ("global", Mm_mapping.Global_ilp.F.build);
+          ]
+      end)
+    Mm_workload.Table3.points
+
+let test_handover_corpus () =
+  let dir = "../corpus" in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".mps")
+  |> List.sort compare
+  |> List.iter (fun f ->
+         match Mps.of_file (Filename.concat dir f) with
+         | Error e -> Alcotest.fail e
+         | Ok p -> check_handover f p)
+
+(* A copy is independent of its source: pivoting, re-bounding and
+   refactoring the copy leaves the source's next solve bit-identical to
+   that of a twin that was never copied, and the copy itself re-solves
+   exactly like its source. *)
+let test_simplex_copy_independent () =
+  let point = List.nth Mm_workload.Table3.points 0 in
+  let board, design = Mm_workload.Gen.instance point.Mm_workload.Table3.spec in
+  match
+    Mm_mapping.Complete_ilp.F.build (Mm_mapping.Formulation.ctx board design)
+  with
+  | Error e -> Alcotest.fail e
+  | Ok (p, _) ->
+      let src = Simplex.create p and twin = Simplex.create p in
+      Alcotest.(check bool) "root optimal" true
+        (Simplex.solve src = Simplex.Optimal && Simplex.solve twin = Simplex.Optimal);
+      let x = Simplex.primal src in
+      let j =
+        let best = ref (-1) in
+        Array.iteri
+          (fun j v ->
+            if !best < 0 && Float.abs (v -. Float.round v) > 1e-6 then best := j)
+          x;
+        !best
+      in
+      Alcotest.(check bool) "fractional root" true (j >= 0);
+      (* fix [j] down and re-solve; the outcome that every instance
+         below must reproduce bit for bit *)
+      let dive sx =
+        Simplex.set_bounds sx j 0.0 0.0;
+        let r = Simplex.solve sx in
+        ( r = Simplex.Optimal,
+          Simplex.stats sx,
+          Int64.bits_of_float (Simplex.objective sx),
+          Array.map Int64.bits_of_float (Simplex.primal sx) )
+      in
+      let cp = Simplex.copy src in
+      let expected = dive cp in
+      (* churn the copy: other bounds, an up-branch solve, a refactor *)
+      Simplex.set_bounds cp j 1.0 1.0;
+      ignore (Simplex.solve cp);
+      Simplex.refactorize cp;
+      let from_src = dive src and from_twin = dive twin in
+      Alcotest.(check bool) "source unaffected by its copy" true
+        (from_src = from_twin);
+      Alcotest.(check bool) "copy re-solves like its source" true
+        (expected = from_src)
+
+(* A root solved on a different (if structurally equal) problem is not
+   adopted: the tree solves its own root and the instance is untouched. *)
+let test_handover_foreign_root_ignored () =
+  match Mps.of_file "../corpus/setcover.mps" with
+  | Error e -> Alcotest.fail e
+  | Ok p ->
+      let other = Problem.extend_rows p [] in
+      let h = Heuristics.run ~snk:Mm_obs.Trace.null other in
+      let root = Option.get h.Heuristics.root_lp in
+      let before = Simplex.iterations root in
+      let options = Config.make ~parallelism:1 () in
+      let plain = Branch_bound.solve ~options p in
+      let offered = Branch_bound.solve ~options ~root p in
+      Alcotest.(check int) "root solved again" plain.Branch_bound.simplex_iterations
+        offered.Branch_bound.simplex_iterations;
+      Alcotest.(check int) "same nodes" plain.Branch_bound.nodes
+        offered.Branch_bound.nodes;
+      Alcotest.(check int) "foreign root untouched" before
+        (Simplex.iterations root)
+
 (* Allocation budget of the simplex hot loops: minor words per pivot
    while [Simplex.solve] runs the root LP of Table-3 point p2 (complete
    formulation: 374 rows, 2774 columns, 1019 pivots). Measured at 311
@@ -1957,6 +2124,8 @@ let () =
           prop_flip_objective_bounded;
           prop_optimal_primal_within_row_bounds;
           prop_refactorize_preserves_primal;
+          Alcotest.test_case "copy independent" `Quick
+            test_simplex_copy_independent;
         ] );
       ("lu", [ prop_lu_kernels_agree ]);
       ( "presolve",
@@ -2053,6 +2222,11 @@ let () =
           Alcotest.test_case "Table-3 p0-p2 pinned" `Quick
             test_trajectory_table3;
           Alcotest.test_case "corpus pinned" `Quick test_trajectory_corpus;
+          Alcotest.test_case "Table-3 p0-p2 root handover" `Quick
+            test_handover_table3;
+          Alcotest.test_case "corpus root handover" `Quick test_handover_corpus;
+          Alcotest.test_case "foreign root ignored" `Quick
+            test_handover_foreign_root_ignored;
           Alcotest.test_case "simplex allocation budget" `Quick
             test_simplex_alloc_budget;
         ] );
