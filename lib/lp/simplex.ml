@@ -178,7 +178,7 @@ type t = {
   pcost : float array;
   dw : float array; (* primal Devex reference weights, per variable *)
   drw : float array; (* dual Devex reference weights, per row *)
-  cand : int array; (* candidate-list pricing window (variable indices) *)
+  cand : int array; (* candidate-list pricing window, [wsize] long *)
   mutable ncand : int;
   mutable scan_from : int; (* rotating cursor for window rebuilds *)
   wsize : int; (* window capacity *)
@@ -371,7 +371,7 @@ let create ?(lu_kernel = Lu.Auto) p =
       pcost = Array.make nt 0.0;
       dw = Array.make nt 1.0;
       drw = Array.make m 1.0;
-      cand = Array.make (max 1 nt) 0;
+      cand = Array.make wsize 0;
       ncand = 0;
       scan_from = 0;
       wsize;
