@@ -144,8 +144,6 @@ type workspace = {
   inherited : Simplex.stats;
       (* counters an adopted root LP arrived with: that solve is
          reported by the heuristic that ran it, not here *)
-  mutable root_solved : bool;
-      (* [sx] already holds the root node's optimum (adopted, unsolved) *)
 }
 
 (* the work this worker's simplex instances did, the inherited root
@@ -184,6 +182,13 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?cuts
              && Problem.integer_violation p x <= 1e-6 ->
           { obj; x = Some (Array.copy x); src = Heuristic }
       | _ -> { obj = infinity; x = None; src = No_incumbent })
+  in
+  (* worker 0 adopts a root LP solved on this very problem (the
+     heuristic's, see [Heuristics.result.root_lp]) and processes the
+     root node on it unsolved; any other root is ignored and the root
+     is solved here from the slack basis *)
+  let adopted =
+    match root with Some r when Simplex.problem r == p -> Some r | _ -> None
   in
   let nodes = Atomic.make 0 in
   let control = Atomic.make Run in
@@ -331,10 +336,7 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?cuts
        degenerate set-covering LPs, so it stays opt-in. An adopted root
        LP is already optimal: it needs neither. *)
     let lp_result =
-      if ws.root_solved then begin
-        ws.root_solved <- false;
-        Simplex.Optimal
-      end
+      if nd.depth = 0 && Option.is_some adopted then Simplex.Optimal
       else begin
         apply_node ws nd;
         timed_solve ()
@@ -540,12 +542,6 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?cuts
       end
     done
   in
-  (* worker 0 adopts a root LP solved on this very problem (the
-     heuristic's, see [Heuristics.result.root_lp]); anything else is
-     ignored and the root is solved here from the slack basis *)
-  let adopted =
-    match root with Some r when Simplex.problem r == p -> Some r | _ -> None
-  in
   let make_workspace id =
     let sx, inherited =
       match adopted with
@@ -584,7 +580,6 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?cuts
       max_node_lp_time = 0.0;
       retired = Simplex.empty_stats;
       inherited;
-      root_solved = id = 0 && Option.is_some adopted;
     }
   in
   let workspaces = Array.init nworkers make_workspace in

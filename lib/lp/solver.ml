@@ -328,7 +328,8 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?warm p
       if cut_stats.Cut_pool.added > 0 then
         Mm_obs.Trace.count snk "cuts_added" cut_stats.Cut_pool.added;
       (* GUB diving on the strengthened root: an incumbent in O(segments)
-         LPs before the tree starts *)
+         LPs before the tree starts, and the solved root LP, which the
+         tree's root node adopts instead of solving it again *)
       let heur =
         if options.heuristics && Problem.num_integer q > 0 then
           Mm_obs.Trace.span snk "heuristic" (fun () ->

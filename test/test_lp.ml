@@ -2036,7 +2036,17 @@ let test_simplex_copy_independent () =
       in
       let cp = Simplex.copy src in
       let expected = dive cp in
-      (* churn the copy: other bounds, an up-branch solve, a refactor *)
+      (* churn the copy: another column fixed at its upper bound, an
+         up-branch solve, a refactor *)
+      let k =
+        let rec find k =
+          let lo, hi = Simplex.get_bounds cp k in
+          if k <> j && Float.is_finite hi && hi > lo then k else find (k + 1)
+        in
+        find 0
+      in
+      Simplex.set_bounds cp k (snd (Simplex.get_bounds cp k))
+        (snd (Simplex.get_bounds cp k));
       Simplex.set_bounds cp j 1.0 1.0;
       ignore (Simplex.solve cp);
       Simplex.refactorize cp;
