@@ -546,7 +546,8 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?cuts
     let sx, inherited =
       match adopted with
       | Some r when id = 0 -> (r, Simplex.stats r)
-      | _ -> (Simplex.create ~lu_kernel:options.lu_kernel p, Simplex.empty_stats)
+      | _ ->
+          (Simplex.create ~lu_kernel:options.lu_kernel p, Simplex.empty_stats)
     in
     Simplex.set_trace sx sinks.(id);
     {
@@ -664,7 +665,9 @@ let solve ?(trace = Mm_obs.Trace.disabled) ?(options = Config.default) ?cuts
     best_bound = to_user final_bound;
     nodes = Atomic.get nodes;
     simplex_iterations =
-      Array.fold_left (fun a ws -> a + (ws_stats ws).Simplex.pivots) 0 workspaces;
+      Array.fold_left
+        (fun a ws -> a + (ws_stats ws).Simplex.pivots)
+        0 workspaces;
     time = elapsed ();
     lp_time = Array.fold_left (fun a ws -> a +. ws.lp_time) 0.0 workspaces;
     max_node_lp_time =

@@ -2013,13 +2013,15 @@ let test_simplex_copy_independent () =
   | Ok (p, _) ->
       let src = Simplex.create p and twin = Simplex.create p in
       Alcotest.(check bool) "root optimal" true
-        (Simplex.solve src = Simplex.Optimal && Simplex.solve twin = Simplex.Optimal);
+        (Simplex.solve src = Simplex.Optimal
+        && Simplex.solve twin = Simplex.Optimal);
       let x = Simplex.primal src in
       let j =
         let best = ref (-1) in
         Array.iteri
           (fun j v ->
-            if !best < 0 && Float.abs (v -. Float.round v) > 1e-6 then best := j)
+            if !best < 0 && Float.abs (v -. Float.round v) > 1e-6 then
+              best := j)
           x;
         !best
       in
@@ -2045,8 +2047,8 @@ let test_simplex_copy_independent () =
         in
         find 0
       in
-      Simplex.set_bounds cp k (snd (Simplex.get_bounds cp k))
-        (snd (Simplex.get_bounds cp k));
+      let hi = snd (Simplex.get_bounds cp k) in
+      Simplex.set_bounds cp k hi hi;
       Simplex.set_bounds cp j 1.0 1.0;
       ignore (Simplex.solve cp);
       Simplex.refactorize cp;
@@ -2069,7 +2071,8 @@ let test_handover_foreign_root_ignored () =
       let options = Config.make ~parallelism:1 () in
       let plain = Branch_bound.solve ~options p in
       let offered = Branch_bound.solve ~options ~root p in
-      Alcotest.(check int) "root solved again" plain.Branch_bound.simplex_iterations
+      Alcotest.(check int) "root solved again"
+        plain.Branch_bound.simplex_iterations
         offered.Branch_bound.simplex_iterations;
       Alcotest.(check int) "same nodes" plain.Branch_bound.nodes
         offered.Branch_bound.nodes;
